@@ -98,37 +98,14 @@ void BM_FftStridedAlongHidden(benchmark::State& state) {
 }
 BENCHMARK(BM_FftStridedAlongHidden)->Arg(8)->Arg(64)->Arg(128);
 
-// 2D schedules A/B: arg0 = nx = ny, arg1 selects the schedule:
-//   0  legacy per-column strided X stage (TURBOFNO_FFT2D_TRANSPOSE=0)
-//   1  transpose-based X stage, unfused middle (TURBOFNO_FUSED_MID=0)
-//   2  transpose-based X stage + fused middle tiles (the default)
-// All three are bitwise-identical; the knobs are forced per run.  The
-// batch is sized to the thread count so sched=2 actually passes
-// FftPlan2d's batch >= thread_count() gate on multi-core hosts (the fused
-// middle parallelizes across fields only).  Exception by design: the
-// DENSE 512^2 forward's 2 MiB per-field tile exceeds the 1 MiB L2 budget,
-// so its sched=2 arm measures the default path's intended fallback (equal
-// to sched=1); the truncated round trip stays under the budget everywhere.
-struct Sched2dGuard {
-  bool prev_tr = fft::fft2d_transpose_enabled();
-  bool prev_mid = fft::fused_mid_enabled();
-  explicit Sched2dGuard(int sched) {
-    fft::set_fft2d_transpose(sched != 0);
-    fft::set_fused_mid(sched == 2);
-  }
-  ~Sched2dGuard() {
-    fft::set_fft2d_transpose(prev_tr);
-    fft::set_fused_mid(prev_mid);
-  }
-};
-
-const char* sched2d_label(int sched) {
-  return sched == 0 ? "per-column" : (sched == 1 ? "transposed" : "fused-mid");
-}
-
+// 2D transforms, arg0 = nx = ny.  The batch is sized to the thread count
+// so FftPlan2d's batch >= thread_count() gate takes the fused per-field
+// middle on multi-core hosts (it parallelizes across fields only).
+// Exception by design: the DENSE 512^2 forward's 2 MiB per-field tile
+// exceeds the 1 MiB L2 budget, so it measures the two-pass schedule; the
+// truncated round trip stays under the budget everywhere.
 void BM_Fft2dForward(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const int sched = static_cast<int>(state.range(1));
   const std::size_t batch =
       std::max<std::size_t>(2, static_cast<std::size_t>(runtime::thread_count()));
   fft::Plan2dDesc d;
@@ -139,35 +116,19 @@ void BM_Fft2dForward(benchmark::State& state) {
   AlignedBuffer<c32> in(batch * n * n);
   AlignedBuffer<c32> out(batch * n * n);
   core::fill_random(in.span(), 6u);
-  const Sched2dGuard guard(sched);
   for (auto _ : state) {
     plan.execute(in.span(), out.span(), batch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * batch * n * n * 2 *
                           sizeof(c32));
-  state.SetLabel(sched2d_label(sched));
 }
-BENCHMARK(BM_Fft2dForward)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({64, 2})
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({128, 2})
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({512, 0})
-    ->Args({512, 1})
-    ->Args({512, 2})
-    ->UseRealTime();
+BENCHMARK(BM_Fft2dForward)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->UseRealTime();
 
 // The FNO shape: forward truncated to n/4 modes per axis, then the
 // zero-padded inverse — the exact X stages the 2D pipelines run.
 void BM_Fft2dTruncRoundTrip(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const int sched = static_cast<int>(state.range(1));
   const std::size_t keep = n / 4;
   const std::size_t batch =
       std::max<std::size_t>(2, static_cast<std::size_t>(runtime::thread_count()));
@@ -184,25 +145,13 @@ void BM_Fft2dTruncRoundTrip(benchmark::State& state) {
   AlignedBuffer<c32> spec(batch * keep * keep);
   AlignedBuffer<c32> back(batch * n * n);
   core::fill_random(in.span(), 7u);
-  const Sched2dGuard guard(sched);
   for (auto _ : state) {
     fwd.execute(in.span(), spec.span(), batch);
     inv.execute(spec.span(), back.span(), batch);
     benchmark::DoNotOptimize(back.data());
   }
-  state.SetLabel(sched2d_label(sched));
 }
-BENCHMARK(BM_Fft2dTruncRoundTrip)
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({128, 2})
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({512, 0})
-    ->Args({512, 1})
-    ->Args({512, 2})
-    ->UseRealTime();
+BENCHMARK(BM_Fft2dTruncRoundTrip)->Arg(128)->Arg(256)->Arg(512)->UseRealTime();
 
 void BM_NaiveDftAnchor(benchmark::State& state) {
   // O(n^2) reference at a small size: shows the custom kernel's advantage.

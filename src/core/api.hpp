@@ -1,4 +1,4 @@
-// TurboFNO public API v2 — curated, versioned facade.
+// TurboFNO public API v3 — curated, versioned facade.
 //
 //   #include "core/api.hpp"
 //
@@ -14,21 +14,18 @@
 // the sharded multi-process layer (turbofno::shard — Topology, Router,
 // Worker, Supervisor), and the tracing vocabulary.  Deeper
 // layers (fft/, gemm/, fused/ pipelines, gpusim/) remain available through
-// their own headers but are not part of the v2 compatibility surface.
+// their own headers but are not part of the v3 compatibility surface.
 //
-// v1 -> v2 migration (see README "Public API v2" for the full table):
-//   Fno1d(cfg, batch)                  -> Fno1d(cfg) + reserve(batch), or an
-//                                         Engine session (deprecated shim kept)
-//   make_pipeline1d(variant, prob)     -> unchanged, or Backend::Auto via configs
-//   InferenceServer::submit(id, vec)   -> unchanged (now a thin wrapper over the
-//                                         zero-copy span submission)
-//
-// Deprecated entry points compile with warnings until TURBOFNO_API_VERSION 3.
+// Removed in v3 (see README "Public API v3" for the full table):
+//   Fno1d(cfg, batch) / Fno2d(cfg, batch) -> Fno1d(cfg) + reserve(batch), or
+//                                            an Engine session
+//   the real-spectral lane switch         -> none: forward_real / run_real
+//                                            always run the RFFT lane
 #pragma once
 
 // Major version of the public surface below.  Bumped when a deprecated
 // entry point is removed or an exported type changes incompatibly.
-#define TURBOFNO_API_VERSION 2
+#define TURBOFNO_API_VERSION 3
 
 #include "core/config.hpp"            // IWYU pragma: export
 #include "core/engine.hpp"            // IWYU pragma: export
@@ -36,7 +33,6 @@
 #include "core/serialize.hpp"         // IWYU pragma: export
 #include "core/spectral_conv.hpp"     // IWYU pragma: export
 #include "core/workload.hpp"          // IWYU pragma: export
-#include "fft/real.hpp"               // IWYU pragma: export
 #include "fused/ladder.hpp"           // IWYU pragma: export
 #include "net/client.hpp"             // IWYU pragma: export
 #include "net/protocol.hpp"           // IWYU pragma: export
@@ -53,7 +49,7 @@
 
 namespace turbofno {
 
-// The curated v2 surface, re-exported at the top level.
+// The curated v3 surface, re-exported at the top level.
 using core::Backend;          // = fused::Variant, including Backend::Auto
 using core::Engine;
 using core::EngineOptions;
@@ -71,16 +67,5 @@ using core::load_bundle_file;
 using core::save_bundle;
 using core::save_bundle_file;
 using core::scatter_weights;
-
-// Real-spectral (RFFT) lane knob: routes SpectralConv*::forward_real /
-// Session::run_real between the half-spectrum RFFT schedule (default) and
-// the complex C2C reference of the same truncation.  Mirrors the
-// TURBOFNO_REAL_SPECTRAL environment variable.
-using fft::real_spectral_enabled;
-using fft::set_real_spectral;
-
-// The v1 entry points themselves (the batch-frozen Fno1d/Fno2d
-// constructors) keep compiling with [[deprecated]] warnings — see
-// core/fno.hpp.  Removal horizon: TURBOFNO_API_VERSION 3.
 
 }  // namespace turbofno

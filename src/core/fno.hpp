@@ -61,16 +61,6 @@ class Fno1d {
   /// Capacity is elastic: the model starts sized for one signal and grows
   /// its workspaces on demand (reserve / a larger forward micro-batch).
   explicit Fno1d(const Fno1dConfig& cfg);
-  /// v1 spelling with an up-front capacity.  `batch` is now only a
-  /// reservation hint (equivalent to Fno1d(cfg) + reserve(batch)), not a
-  /// frozen contract.  Removal horizon: TURBOFNO_API_VERSION 3.
-  [[deprecated(
-      "TurboFNO API v2: batch capacity is elastic — use Fno1d(cfg) (+ reserve), or serve "
-      "through turbofno::Engine sessions")]]
-  Fno1d(const Fno1dConfig& cfg, std::size_t batch) : Fno1d(cfg) {
-    reserve(batch);
-  }
-
   /// u [batch, in_channels, n] -> v [batch, out_channels, n] over the
   /// current capacity (see capacity()).
   void forward(std::span<const c32> u, std::span<c32> v);
@@ -81,8 +71,7 @@ class Fno1d {
   /// Real-input forward: u [batch, in_channels, n] and v [batch,
   /// out_channels, n] hold real samples; every hidden field stays in floats
   /// and each spectral layer runs its RFFT half-spectrum lane (see
-  /// SpectralConv1d::forward_real for the TURBOFNO_REAL_SPECTRAL knob
-  /// semantics).  Requires n >= 4.
+  /// SpectralConv1d::forward_real).  Requires n >= 4.
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
 
   /// Grows the hidden-state workspaces (and every layer's) so forwards up
@@ -130,14 +119,6 @@ class Fno2d {
  public:
   /// Elastic capacity; see Fno1d.
   explicit Fno2d(const Fno2dConfig& cfg);
-  /// v1 spelling; see the Fno1d two-argument constructor.
-  [[deprecated(
-      "TurboFNO API v2: batch capacity is elastic — use Fno2d(cfg) (+ reserve), or serve "
-      "through turbofno::Engine sessions")]]
-  Fno2d(const Fno2dConfig& cfg, std::size_t batch) : Fno2d(cfg) {
-    reserve(batch);
-  }
-
   /// u [batch, in_channels, nx, ny] -> v [batch, out_channels, nx, ny].
   void forward(std::span<const c32> u, std::span<c32> v);
   /// Micro-batch variant; see Fno1d::forward (elastic growth included).

@@ -1,11 +1,9 @@
 #include "fft/fft2d.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 #include "fft/twiddle.hpp"
-#include "runtime/env.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
 #include "tensor/aligned_buffer.hpp"
@@ -67,9 +65,6 @@ constexpr std::size_t kSlabCols = 16;
 // FNO-shaped truncated plans (tile = ny * modes_x) are far below this.
 constexpr std::size_t kFusedFieldBudgetBytes = 1u << 20;
 
-std::atomic<int> g_transpose_override{-1};
-std::atomic<int> g_fused_mid_override{-1};
-
 // Shared slab-task geometry of the tile-granular stages: tasks enumerate
 // (field, column slab) pairs so each task touches one contiguous block.
 struct SlabGrid {
@@ -87,72 +82,34 @@ SlabGrid slab_grid(std::size_t ny) noexcept {
 }
 
 // The two per-slab transform bodies, single-sourced for every consumer
-// (fft2d_x_stage's transposed branch, the tile-granular stages, and
-// FftPlan2d::execute_fused).  Both handle the transposed and the
-// per-column schedule; `rows_in`/`rows_out` are the plan's
-// nonzero_or_n()/keep_or_n().
+// (fft2d_x_stage, the tile-granular stages, and FftPlan2d::execute_fused).
+// `rows_in`/`rows_out` are the plan's nonzero_or_n()/keep_or_n().
 
-// Columns [y0, y0+g) of `field` become y-major rows at dst (row r
-// contiguous, packed rows_out apart).  `slab_in` needs cols*rows_in
-// elements on the transposed schedule (unused otherwise).
-void x_slab_to_rows(const FftPlan& plan, bool transposed, const c32* field, std::size_t ny,
-                    std::size_t y0, std::size_t g, std::size_t rows_in, std::size_t rows_out,
-                    c32* dst, std::span<c32> slab_in, std::span<c32> work) {
-  if (transposed) {
-    simd::transpose(field + y0, ny, slab_in.data(), rows_in, rows_in, g);
-    for (std::size_t r = 0; r < g; ++r) {
-      plan.execute_one(slab_in.data() + r * rows_in, 1, dst + r * rows_out, 1, work);
-    }
-  } else {
-    for (std::size_t r = 0; r < g; ++r) {
-      plan.execute_one(field + (y0 + r), static_cast<std::ptrdiff_t>(ny), dst + r * rows_out,
-                       1, work);
-    }
+// Columns [y0, y0+g) of `field` are gathered into `slab_in` (needs
+// cols*rows_in elements) with the SIMD tile transpose, then become y-major
+// rows at dst (row r contiguous, packed rows_out apart).
+void x_slab_to_rows(const FftPlan& plan, const c32* field, std::size_t ny, std::size_t y0,
+                    std::size_t g, std::size_t rows_in, std::size_t rows_out, c32* dst,
+                    std::span<c32> slab_in, std::span<c32> work) {
+  simd::transpose(field + y0, ny, slab_in.data(), rows_in, rows_in, g);
+  for (std::size_t r = 0; r < g; ++r) {
+    plan.execute_one(slab_in.data() + r * rows_in, 1, dst + r * rows_out, 1, work);
   }
 }
 
 // Inverse of the above: y-major rows at src (packed rows_in apart) are
-// transformed and scattered into columns [y0, y0+g) of `field`.
-// `slab_out` needs cols*rows_out elements on the transposed schedule.
-void x_rows_to_slab(const FftPlan& plan, bool transposed, const c32* src, c32* field,
-                    std::size_t ny, std::size_t y0, std::size_t g, std::size_t rows_in,
-                    std::size_t rows_out, std::span<c32> slab_out, std::span<c32> work) {
-  if (transposed) {
-    for (std::size_t r = 0; r < g; ++r) {
-      plan.execute_one(src + r * rows_in, 1, slab_out.data() + r * rows_out, 1, work);
-    }
-    simd::transpose(slab_out.data(), rows_out, field + y0, ny, g, rows_out);
-  } else {
-    for (std::size_t r = 0; r < g; ++r) {
-      plan.execute_one(src + r * rows_in, 1, field + (y0 + r),
-                       static_cast<std::ptrdiff_t>(ny), work);
-    }
+// transformed into `slab_out` (needs cols*rows_out elements) and transposed
+// into columns [y0, y0+g) of `field`.
+void x_rows_to_slab(const FftPlan& plan, const c32* src, c32* field, std::size_t ny,
+                    std::size_t y0, std::size_t g, std::size_t rows_in, std::size_t rows_out,
+                    std::span<c32> slab_out, std::span<c32> work) {
+  for (std::size_t r = 0; r < g; ++r) {
+    plan.execute_one(src + r * rows_in, 1, slab_out.data() + r * rows_out, 1, work);
   }
+  simd::transpose(slab_out.data(), rows_out, field + y0, ny, g, rows_out);
 }
 
 }  // namespace
-
-bool fft2d_transpose_enabled() noexcept {
-  const int ov = g_transpose_override.load(std::memory_order_relaxed);
-  if (ov >= 0) return ov != 0;
-  static const bool from_env = runtime::env_long("TURBOFNO_FFT2D_TRANSPOSE", 1) != 0;
-  return from_env;
-}
-
-void set_fft2d_transpose(bool enabled) noexcept {
-  g_transpose_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool fused_mid_enabled() noexcept {
-  const int ov = g_fused_mid_override.load(std::memory_order_relaxed);
-  if (ov >= 0) return ov != 0;
-  static const bool from_env = runtime::env_long("TURBOFNO_FUSED_MID", 1) != 0;
-  return from_env;
-}
-
-void set_fused_mid(bool enabled) noexcept {
-  g_fused_mid_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 void fft2d_x_stage(const FftPlan& plan, const c32* in, c32* out, std::size_t fields,
                    std::size_t ny) {
@@ -160,30 +117,11 @@ void fft2d_x_stage(const FftPlan& plan, const c32* in, c32* out, std::size_t fie
   const std::size_t rows_in = plan.desc().nonzero_or_n();
   const std::size_t rows_out = plan.desc().keep_or_n();
 
-  if (!fft2d_transpose_enabled()) {
-    // Legacy schedule: one strided transform per (field, y column).
-    runtime::parallel_for(0, fields * ny, 64, [&](std::size_t lo, std::size_t hi) {
-      auto& arena = runtime::tls_scratch();
-      const auto scope = arena.scope();
-      // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<c32> work = arena.alloc<c32>(plan.scratch_elems());
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t f = i / ny;
-        const std::size_t y = i % ny;
-        plan.execute_one(in + f * rows_in * ny + y, static_cast<std::ptrdiff_t>(ny),
-                         out + f * rows_out * ny + y, static_cast<std::ptrdiff_t>(ny),
-                         work);
-      }
-      // tfno-hot-end
-    });
-    return;
-  }
-
-  // Transpose-based schedule: per task, gather a column slab into row-major
-  // scratch, transform contiguous rows, and transpose back only the rows the
-  // plan actually produces (keep_x on forward; on inverse the input slab is
-  // just the nonzero prefix and the transform scatters the zero-padded
-  // columns itself).
+  // Per task, gather a column slab into row-major scratch, transform
+  // contiguous rows, and transpose back only the rows the plan actually
+  // produces (keep_x on forward; on inverse the input slab is just the
+  // nonzero prefix and the transform scatters the zero-padded columns
+  // itself).
   const SlabGrid grid = slab_grid(ny);
   runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
                         [&](std::size_t lo, std::size_t hi) {
@@ -197,7 +135,7 @@ void fft2d_x_stage(const FftPlan& plan, const c32* in, c32* out, std::size_t fie
       const std::size_t f = t / grid.slabs_per_field;
       const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
       const std::size_t g = std::min(grid.cols, ny - y0);
-      x_slab_to_rows(plan, true, in + f * rows_in * ny, ny, y0, g, rows_in, rows_out,
+      x_slab_to_rows(plan, in + f * rows_in * ny, ny, y0, g, rows_in, rows_out,
                      slab_out.data(), slab_in, work);
       simd::transpose(slab_out.data(), rows_out, out + f * rows_out * ny + y0, ny, g,
                       rows_out);
@@ -211,7 +149,6 @@ void fft2d_x_stage_to_tiles(const FftPlan& plan, const c32* in, std::size_t fiel
   if (fields == 0 || ny == 0) return;
   const std::size_t rows_in = plan.desc().nonzero_or_n();
   const std::size_t rows_out = plan.desc().keep_or_n();
-  const bool transposed = fft2d_transpose_enabled();
   const SlabGrid grid = slab_grid(ny);
 
   runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
@@ -219,18 +156,15 @@ void fft2d_x_stage_to_tiles(const FftPlan& plan, const c32* in, std::size_t fiel
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    // The slab gather buffer is only needed on the transpose schedule; the
-    // per-column schedule gathers inside execute_one.  Either way there is
-    // no slab_out: transformed rows land straight in the caller's block.
-    const std::span<c32> slab_in =
-        transposed ? arena.alloc<c32>(grid.cols * rows_in) : std::span<c32>{};
+    // No slab_out: transformed rows land straight in the caller's block.
+    const std::span<c32> slab_in = arena.alloc<c32>(grid.cols * rows_in);
     const std::span<c32> work = arena.alloc<c32>(plan.scratch_elems());
     for (std::size_t t = lo; t < hi; ++t) {
       const std::size_t f = t / grid.slabs_per_field;
       const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
       const std::size_t g = std::min(grid.cols, ny - y0);
-      x_slab_to_rows(plan, transposed, in + f * rows_in * ny, ny, y0, g, rows_in, rows_out,
-                     dst(f, y0, g), slab_in, work);
+      x_slab_to_rows(plan, in + f * rows_in * ny, ny, y0, g, rows_in, rows_out, dst(f, y0, g),
+                     slab_in, work);
     }
     // tfno-hot-end
   });
@@ -241,7 +175,6 @@ void fft2d_x_stage_from_tiles(const FftPlan& plan, const XStageTileSrc& src, c32
   if (fields == 0 || ny == 0) return;
   const std::size_t rows_in = plan.desc().nonzero_or_n();
   const std::size_t rows_out = plan.desc().keep_or_n();
-  const bool transposed = fft2d_transpose_enabled();
   const SlabGrid grid = slab_grid(ny);
 
   runtime::parallel_for(0, fields * grid.slabs_per_field, grid.grain,
@@ -249,15 +182,14 @@ void fft2d_x_stage_from_tiles(const FftPlan& plan, const XStageTileSrc& src, c32
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> slab_out =
-        transposed ? arena.alloc<c32>(grid.cols * rows_out) : std::span<c32>{};
+    const std::span<c32> slab_out = arena.alloc<c32>(grid.cols * rows_out);
     const std::span<c32> work = arena.alloc<c32>(plan.scratch_elems());
     for (std::size_t t = lo; t < hi; ++t) {
       const std::size_t f = t / grid.slabs_per_field;
       const std::size_t y0 = (t % grid.slabs_per_field) * grid.cols;
       const std::size_t g = std::min(grid.cols, ny - y0);
-      x_rows_to_slab(plan, transposed, src(f, y0, g), out + f * rows_out * ny, ny, y0, g,
-                     rows_in, rows_out, slab_out, work);
+      x_rows_to_slab(plan, src(f, y0, g), out + f * rows_out * ny, ny, y0, g, rows_in,
+                     rows_out, slab_out, work);
     }
     // tfno-hot-end
   });
@@ -301,7 +233,6 @@ void FftPlan2d::execute_fused(std::span<const c32> in, std::span<c32> out,
   const std::size_t kx = desc_.keep_x_or_nx();
   const std::size_t in_f = in_field_elems();
   const std::size_t out_f = out_field_elems();
-  const bool transposed = fft2d_transpose_enabled();
   const SlabGrid grid = slab_grid(ny);
   const std::size_t work_elems =
       std::max(along_x_.scratch_elems(), along_y_.scratch_elems());
@@ -313,8 +244,7 @@ void FftPlan2d::execute_fused(std::span<const c32> in, std::span<c32> out,
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
     const std::span<c32> staging = arena.alloc<c32>(ny * kx);
-    const std::span<c32> slab =
-        transposed ? arena.alloc<c32>(grid.cols * desc_.nx) : std::span<c32>{};
+    const std::span<c32> slab = arena.alloc<c32>(grid.cols * desc_.nx);
     const std::span<c32> work = arena.alloc<c32>(work_elems);
 
     for (std::size_t f = lo; f < hi; ++f) {
@@ -324,8 +254,8 @@ void FftPlan2d::execute_fused(std::span<const c32> in, std::span<c32> out,
         const c32* field = in.data() + f * in_f;
         for (std::size_t y0 = 0; y0 < ny; y0 += grid.cols) {
           const std::size_t g = std::min(grid.cols, ny - y0);
-          x_slab_to_rows(along_x_, transposed, field, ny, y0, g, desc_.nx, kx,
-                         staging.data() + y0 * kx, slab, work);
+          x_slab_to_rows(along_x_, field, ny, y0, g, desc_.nx, kx, staging.data() + y0 * kx,
+                         slab, work);
         }
         // Y stage: row x of the output gathers column x of the tile.
         for (std::size_t x = 0; x < kx; ++x) {
@@ -342,8 +272,8 @@ void FftPlan2d::execute_fused(std::span<const c32> in, std::span<c32> out,
         c32* field = out.data() + f * out_f;
         for (std::size_t y0 = 0; y0 < ny; y0 += grid.cols) {
           const std::size_t g = std::min(grid.cols, ny - y0);
-          x_rows_to_slab(along_x_, transposed, staging.data() + y0 * kx, field, ny, y0, g,
-                         kx, desc_.nx, slab, work);
+          x_rows_to_slab(along_x_, staging.data() + y0 * kx, field, ny, y0, g, kx, desc_.nx,
+                         slab, work);
         }
       }
     }
@@ -360,10 +290,10 @@ void FftPlan2d::execute(std::span<const c32> in, std::span<c32> out, std::size_t
   if (batch == 0) return;
 
   // The fused middle parallelizes across fields only, so it also needs
-  // enough fields to feed the worker pool; small batches keep the unfused
+  // enough fields to feed the worker pool; small batches keep the two-pass
   // schedule, whose fields*slabs / per-row loops split further (the two are
   // bitwise-identical, so this is purely a scheduling choice).
-  if (fused_mid_enabled() && ny * kx * sizeof(c32) <= kFusedFieldBudgetBytes &&
+  if (ny * kx * sizeof(c32) <= kFusedFieldBudgetBytes &&
       batch >= static_cast<std::size_t>(runtime::thread_count())) {
     execute_fused(in, out, batch);
     return;
@@ -373,8 +303,8 @@ void FftPlan2d::execute(std::span<const c32> in, std::span<c32> out, std::size_t
   // allocation per execute call (amortized over a whole 2D transform) —
   // deliberately NOT arena-held: the grow-only thread-local arena would
   // retain this O(batch * kx * ny) block per calling thread forever.  The
-  // per-chunk hot-loop buffers below do come from the arena.  (The default
-  // fused-middle path above avoids this block entirely.)
+  // per-chunk hot-loop buffers below do come from the arena.  (The fused
+  // path above avoids this block entirely.)
   AlignedBuffer<c32> mid(batch * kx * ny);
 
   // Y stage: contiguous transforms over the batch * keep_x surviving rows.

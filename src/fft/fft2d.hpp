@@ -11,14 +11,11 @@
 //
 // Inverse runs the stages in the opposite order with zero-padded inputs.
 //
-// The X stage has two schedules (same arithmetic, bitwise-identical
-// results).  The default transpose-based schedule blocks the field into
-// column slabs, transposes each slab with the SIMD 4x4 tile kernel, runs
-// the transforms over contiguous rows, and transposes only the surviving
-// keep_x rows back (forward) / scatters the zero-padded columns (inverse).
-// The legacy schedule runs one stride-DimY transform per column; it walks
-// a full cache line per element at FNO sizes and is kept only for A/B
-// benching behind TURBOFNO_FFT2D_TRANSPOSE=0.
+// The X stage blocks the field into column slabs, transposes each slab
+// with the SIMD 4x4 tile kernel, runs the transforms over contiguous rows,
+// and transposes only the surviving keep_x rows back (forward) / scatters
+// the zero-padded columns (inverse).  A stride-DimY transform per column
+// would instead walk a full cache line per element at FNO sizes.
 //
 // On top of the whole-field X stage, this header exposes the tile-granular
 // producer/consumer pair (fft2d_x_stage_to_tiles / _from_tiles) that the
@@ -28,7 +25,7 @@
 // block (and symmetrically reads such blocks on the inverse side).  The
 // fused pipelines point these blocks straight at their cache-resident
 // middle-stage staging, so the full [B*K*mx*ny] intermediate is never
-// written or re-read (TURBOFNO_FUSED_MID).
+// written or re-read.
 #pragma once
 
 #include <cstddef>
@@ -41,34 +38,11 @@
 
 namespace turbofno::fft {
 
-/// True when the transpose-based X-stage schedule is active.  Defaults to
-/// the TURBOFNO_FFT2D_TRANSPOSE environment variable (unset means on); the
-/// API override below wins over the environment.
-[[nodiscard]] bool fft2d_transpose_enabled() noexcept;
-
-/// Forces the X-stage schedule choice at runtime (A/B benchmarks, tests).
-void set_fft2d_transpose(bool enabled) noexcept;
-
-/// True when the fused 2D middle-stage schedule is active: FftPlan2d and
-/// the fused 2D pipelines route the X stages through the tile API below so
-/// the x-major intermediate between the X and Y stages never materializes.
-/// Defaults to the TURBOFNO_FUSED_MID environment variable (unset means
-/// on); the API override below wins over the environment.  Both settings
-/// are bitwise-identical by construction — the knob exists for A/B
-/// benchmarks and regression triage.  FftPlan2d additionally falls back to
-/// the two-pass schedule when a field's staging tile (ny * keep_x) would
-/// not stay L2-resident (dense >= 512^2), where the fused trade loses.
-[[nodiscard]] bool fused_mid_enabled() noexcept;
-
-/// Forces the fused-middle schedule choice at runtime (A/B, tests).
-void set_fused_mid(bool enabled) noexcept;
-
 /// Applies a 1D plan along the X (row) axis of `fields` row-major fields
 /// with DimY-contiguous layout: `in` holds fields x [nonzero_or_n, ny]
 /// and `out` receives fields x [keep_or_n, ny]; each of the ny columns of a
-/// field is one transform.  Dispatches between the transpose-based and the
-/// per-column schedule (see file header).  Shared by FftPlan2d and the
-/// fused 2D pipelines' X stages; in and out must not overlap.
+/// field is one transform (slab-transposed, see file header).  Used by
+/// FftPlan2d's two-pass schedule; in and out must not overlap.
 void fft2d_x_stage(const FftPlan& plan, const c32* in, c32* out, std::size_t fields,
                    std::size_t ny);
 
@@ -91,8 +65,8 @@ using XStageTileSrc =
 /// spectra back into an x-major field, writes each column slab's rows
 /// straight into the caller's y-major destination blocks.  This skips the
 /// scatter transpose and — when the destination is cache-resident staging —
-/// the full intermediate write that fft2d_x_stage would do.  Works under
-/// both X-stage schedules; bitwise-identical spectra either way.
+/// the full intermediate write that fft2d_x_stage would do; the spectra are
+/// bitwise-identical to fft2d_x_stage's.
 void fft2d_x_stage_to_tiles(const FftPlan& plan, const c32* in, std::size_t fields,
                             std::size_t ny, const XStageTileDst& dst);
 

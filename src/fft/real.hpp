@@ -8,10 +8,11 @@
 // Spectrum convention: forward produces bins 0..n/2 (n/2 + 1 entries); the
 // inverse consumes a (possibly truncated) prefix of such a half-spectrum and
 // treats missing bins as zero, mirroring the built-in zero padding of the
-// complex plans.  The inverse computes Re(ifft(hermitian_extend(Y))): the
-// imaginary part of bin 0 (and of bin n/2 when stored) is projected away, so
-// any stored prefix — not just one produced by RfftPlan — yields a real
-// signal, matching torch.fft.irfft semantics.
+// complex plans.  The inverse computes Re(ifft(Y')), Y' being Y extended to
+// all n bins by conjugate symmetry: the imaginary part of bin 0 (and of bin
+// n/2 when stored) is projected away, so any stored prefix — not just one
+// produced by RfftPlan — yields a real signal, matching torch.fft.irfft
+// semantics.
 #pragma once
 
 #include <cstddef>
@@ -21,18 +22,6 @@
 #include "tensor/complex.hpp"
 
 namespace turbofno::fft {
-
-/// True when the real-input (RFFT-based) spectral schedule is active: model
-/// layers whose input field is real route their spectral convolutions
-/// through the half-spectrum pipelines instead of the full complex ones.
-/// Defaults to the TURBOFNO_REAL_SPECTRAL environment variable (unset means
-/// on); the API override below wins over the environment.  The complex
-/// schedule remains available as the A/B reference — the two agree to FFT
-/// rounding, not bitwise (they evaluate different factorizations).
-[[nodiscard]] bool real_spectral_enabled() noexcept;
-
-/// Forces the real-spectral schedule choice at runtime (A/B, tests).
-void set_real_spectral(bool enabled) noexcept;
 
 /// Forward R2C: n real samples -> the first `keep` of n/2+1 spectrum bins.
 class RfftPlan {

@@ -29,19 +29,17 @@ KLoopFft::KLoopFft(std::size_t n, std::size_t modes)
     : modes_(modes), plan_(fft::acquire_plan(trunc_desc(n, modes))) {}
 
 void KLoopFft::forward_tile(const c32* u_base, std::size_t channel_stride, std::size_t count,
-                            c32* tile, std::size_t tile_ld, std::span<c32> work,
-                            std::ptrdiff_t elem_stride) const {
+                            c32* tile, std::size_t tile_ld, std::span<c32> work) const {
   for (std::size_t kk = 0; kk < count; ++kk) {
-    plan_->execute_one(u_base + kk * channel_stride, elem_stride, tile + kk * tile_ld, 1, work);
+    plan_->execute_one(u_base + kk * channel_stride, 1, tile + kk * tile_ld, 1, work);
   }
 }
 
 EpilogueIfft::EpilogueIfft(std::size_t n, std::size_t modes)
     : modes_(modes), plan_(fft::acquire_plan(pad_desc(n, modes))) {}
 
-void EpilogueIfft::inverse_row(const c32* c_row, c32* v_row, std::span<c32> work,
-                               std::ptrdiff_t out_elem_stride) const {
-  plan_->execute_one(c_row, 1, v_row, out_elem_stride, work);
+void EpilogueIfft::inverse_row(const c32* c_row, c32* v_row, std::span<c32> work) const {
+  plan_->execute_one(c_row, 1, v_row, 1, work);
 }
 
 void rank_update(c32* C, std::size_t ldc, const c32* W, std::size_t ldw, std::size_t k0,

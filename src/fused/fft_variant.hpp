@@ -24,12 +24,9 @@ class KLoopFft {
 
   /// Transforms `count` channel signals into the k-major tile:
   /// tile[kk * tile_ld + f] = FFT(u_base + kk * channel_stride)[f], f < modes.
-  /// `work` needs >= 2n elements.  `elem_stride` is the distance between a
-  /// signal's samples (1 for the unfused x-major intermediate; modes_x when
-  /// gathering from the fused middle's y-major staging tiles).
+  /// Signals are contiguous.  `work` needs >= 2n elements.
   void forward_tile(const c32* u_base, std::size_t channel_stride, std::size_t count, c32* tile,
-                    std::size_t tile_ld, std::span<c32> work,
-                    std::ptrdiff_t elem_stride = 1) const;
+                    std::size_t tile_ld, std::span<c32> work) const;
 
   [[nodiscard]] const fft::FftPlan& plan() const noexcept { return *plan_; }
   [[nodiscard]] std::size_t modes() const noexcept { return modes_; }
@@ -49,10 +46,7 @@ class EpilogueIfft {
   EpilogueIfft(std::size_t n, std::size_t modes);
 
   /// v_row[0..n) = iFFT(pad_n(c_row[0..modes))).  `work` >= 2n elements.
-  /// `out_elem_stride` spaces the output samples (1 for the unfused x-major
-  /// intermediate; modes_x when scattering into y-major staging tiles).
-  void inverse_row(const c32* c_row, c32* v_row, std::span<c32> work,
-                   std::ptrdiff_t out_elem_stride = 1) const;
+  void inverse_row(const c32* c_row, c32* v_row, std::span<c32> work) const;
 
   [[nodiscard]] const fft::FftPlan& plan() const noexcept { return *plan_; }
 

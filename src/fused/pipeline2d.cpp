@@ -9,7 +9,6 @@
 #include "fft/real2d.hpp"
 #include "gemm/batched.hpp"
 #include "gemm/config.hpp"
-#include "runtime/env.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
 #include "runtime/timer.hpp"
@@ -27,25 +26,17 @@ constexpr std::size_t kTb = gemm::FusedTiles::Ktb;
 // the blocked SIMD transpose that feeds (or drains) the k-loop touches
 // every staging line exactly once per block.  Row-by-row strided gathers
 // would instead re-touch each k-tile's 8 channel tiles per x-row — a
-// ~512 KiB working set that measurably thrashes.  On the x-major unfused
-// layout rows are contiguous and blocking is pointless, so xb = 1 there
-// (bitwise identical either way; blocking is pure data movement).
+// ~512 KiB working set that measurably thrashes.
 constexpr std::size_t kXBlock = 8;
 
 // Cache budget for one fused-middle batch group's staging tiles (input plus
 // output planes together).  Groups sized under this stay resident between
 // the X stage that fills them and the middle/inverse stages that drain
-// them, which is where the skipped mid_in_/mid_out_ round trip turns into
-// wall-clock.
+// them, which is where the skipped [B*K*mx*ny] intermediate round trip
+// turns into wall-clock.
 constexpr std::size_t kMidStagingBudgetBytes = 8u << 20;
 
 std::atomic<std::size_t> g_mid_group_override{0};
-
-std::size_t env_mid_group() noexcept {
-  static const std::size_t v = static_cast<std::size_t>(
-      runtime::env_long_clamped("TURBOFNO_FUSED_MID_GROUP", 0, 0, 1L << 20));
-  return v;
-}
 
 fft::PlanDesc x_trunc_desc(const baseline::Spectral2dProblem& p) {
   fft::PlanDesc d;
@@ -69,12 +60,6 @@ void set_fused_mid_group(std::size_t g) noexcept {
   g_mid_group_override.store(g, std::memory_order_relaxed);
 }
 
-std::size_t fused_mid_group_override() noexcept {
-  const std::size_t ov = g_mid_group_override.load(std::memory_order_relaxed);
-  if (ov > 0) return ov;
-  return env_mid_group();
-}
-
 Pipeline2dBase::Pipeline2dBase(baseline::Spectral2dProblem prob, const char* counters_name)
     : prob_(prob),
       fft_x_trunc_(fft::acquire_plan(x_trunc_desc(prob))),
@@ -83,35 +68,25 @@ Pipeline2dBase::Pipeline2dBase(baseline::Spectral2dProblem prob, const char* cou
       inv_y_(prob.ny, prob.modes_y),
       counters_(counters_name) {
   prob_.validate();
-  // Schedule buffers (mid_in_/mid_out_ or the staging tiles) are sized
-  // lazily by run_mid, so a pipeline only ever holds the intermediates of
-  // the schedule it actually runs.
+  // The staging tiles are sized lazily by run_mid (one batch group each).
 }
 
-void Pipeline2dBase::ensure_mid_buffers(std::size_t batch, bool fused_mid, std::size_t group) {
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
+void Pipeline2dBase::ensure_mid_buffers(std::size_t group) {
   const std::size_t MX = prob_.modes_x;
   const std::size_t NY = prob_.ny;
-  if (fused_mid) {
-    const std::size_t bg = std::max<std::size_t>(group, 1);
-    ensure(staging_in_, bg * K * NY * MX);
-    ensure(staging_out_, bg * O * NY * MX);
-  } else {
-    ensure(mid_in_, batch * K * MX * NY);
-    ensure(mid_out_, batch * O * MX * NY);
-  }
+  const std::size_t bg = std::max<std::size_t>(group, 1);
+  ensure(staging_in_, bg * prob_.hidden * NY * MX);
+  ensure(staging_out_, bg * prob_.out_dim * NY * MX);
 }
 
 void Pipeline2dBase::reserve(std::size_t batch) {
   if (batch != 0) {
-    // Pre-size the active middle schedule's buffers so a batch this large
-    // triggers no allocation on the run path (mid_group() caps the fused
-    // staging at one cache-budget group).  Grow the buffers BEFORE bumping
-    // the capacity mark: a bad_alloc here must not leave problem().batch
-    // claiming workspaces that were never grown.
-    const bool fused_mid = fft::fused_mid_enabled();
-    ensure_mid_buffers(batch, fused_mid, fused_mid ? mid_group(batch) : 0);
+    // Pre-size the staging tiles so a batch this large triggers no
+    // allocation on the run path (mid_group() caps them at one
+    // cache-budget group).  Grow the buffers BEFORE bumping the capacity
+    // mark: a bad_alloc here must not leave problem().batch claiming
+    // workspaces that were never grown.
+    ensure_mid_buffers(mid_group(batch));
   }
   if (batch > prob_.batch) prob_.batch = batch;
 }
@@ -132,7 +107,7 @@ void Pipeline2dBase::check_spans_real(std::span<const float> u, std::span<float>
 
 std::size_t Pipeline2dBase::mid_group(std::size_t batch) const noexcept {
   if (batch == 0) return 1;
-  const std::size_t ov = fused_mid_group_override();
+  const std::size_t ov = g_mid_group_override.load(std::memory_order_relaxed);
   if (ov > 0) return std::min(ov, batch);
   const std::size_t per_b =
       (prob_.hidden + prob_.out_dim) * prob_.modes_x * prob_.ny * sizeof(c32);
@@ -146,8 +121,7 @@ void Pipeline2dBase::gather_xblock(const MidView& mv, std::size_t bl, std::size_
   // One line-efficient transpose per channel: staging columns [x0, x0+xc)
   // become contiguous rows of gbuf.
   for (std::size_t kk = 0; kk < kc; ++kk) {
-    simd::transpose(mv.in_row(bl, k0 + kk, x0), static_cast<std::size_t>(mv.in_y),
-                    gbuf + kk * xb * ny, ny, ny, xc);
+    simd::transpose(mv.in_row(bl, k0 + kk, x0), mv.y, gbuf + kk * xb * ny, ny, ny, xc);
   }
 }
 
@@ -156,8 +130,7 @@ void Pipeline2dBase::scatter_xblock(const MidView& mv, std::size_t bl, std::size
                                     const c32* sbuf) noexcept {
   // Contiguous rows back into staging columns, one transpose per output
   // channel block.
-  simd::transpose(sbuf, ny, mv.out_row(bl, o, x0), static_cast<std::size_t>(mv.out_y), xc,
-                  ny);
+  simd::transpose(sbuf, ny, mv.out_row(bl, o, x0), mv.y, xc, ny);
 }
 
 void Pipeline2dBase::y_forward_rows(const fft::FftPlan& plan, const MidView& mv,
@@ -173,7 +146,7 @@ void Pipeline2dBase::y_forward_rows(const fft::FftPlan& plan, const MidView& mv,
       const std::size_t bl = r / (channels * mx);
       const std::size_t c = (r / mx) % channels;
       const std::size_t x = r % mx;
-      plan.execute_one(mv.in_row(bl, c, x), mv.in_y,
+      plan.execute_one(mv.in_row(bl, c, x), static_cast<std::ptrdiff_t>(mv.y),
                        spectra + ((bl * channels + c) * mx + x) * my, 1, work);
     }
     // tfno-hot-end
@@ -194,53 +167,14 @@ void Pipeline2dBase::y_inverse_rows(const fft::FftPlan& plan, const MidView& mv,
       const std::size_t c = (r / mx) % channels;
       const std::size_t x = r % mx;
       plan.execute_one(spectra + ((bl * channels + c) * mx + x) * my, 1,
-                       mv.out_row(bl, c, x), mv.out_y, work);
+                       mv.out_row(bl, c, x), static_cast<std::ptrdiff_t>(mv.y), work);
     }
     // tfno-hot-end
   });
 }
 
-
-void Pipeline2dBase::run_fft_x_trunc(std::span<const c32> u, std::span<c32> dst,
-                                     std::size_t batch) {
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t NX = prob_.nx;
-  const std::size_t NY = prob_.ny;
-  const std::size_t MX = prob_.modes_x;
-
-  runtime::Timer t;
-  // One (batch, channel) field per X-stage unit; fft2d_x_stage picks the
-  // transpose-based or per-column schedule.
-  fft::fft2d_x_stage(*fft_x_trunc_, u.data(), dst.data(), B * K, NY);
-  auto& sc = counters_.stage("fft-x-trunc");
-  sc.seconds = t.seconds();
-  sc.bytes_read = B * K * NX * NY * sizeof(c32);
-  sc.bytes_written = B * K * MX * NY * sizeof(c32);  // only modes_x rows
-  sc.flops = B * K * NY * fft_x_trunc_->flops_per_signal();
-  sc.kernel_launches = 1;
-}
-
-void Pipeline2dBase::run_ifft_x_pad(std::span<const c32> src, std::span<c32> v,
-                                    std::size_t batch) {
-  const std::size_t B = batch;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t NX = prob_.nx;
-  const std::size_t NY = prob_.ny;
-  const std::size_t MX = prob_.modes_x;
-
-  runtime::Timer t;
-  fft::fft2d_x_stage(*ifft_x_pad_, src.data(), v.data(), B * O, NY);
-  auto& sc = counters_.stage("ifft-x-pad");
-  sc.seconds = t.seconds();
-  sc.bytes_read = B * O * MX * NY * sizeof(c32);
-  sc.bytes_written = B * O * NX * NY * sizeof(c32);
-  sc.flops = B * O * NY * ifft_x_pad_->flops_per_signal();
-  sc.kernel_launches = 1;
-}
-
 void Pipeline2dBase::run_mid(std::span<const c32> u, std::span<c32> v, std::size_t batch,
-                             bool fused_mid, std::size_t group,
+                             std::size_t group,
                              const std::function<void(const MidView&)>& middle) {
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
@@ -249,33 +183,12 @@ void Pipeline2dBase::run_mid(std::span<const c32> u, std::span<c32> v, std::size
   const std::size_t NY = prob_.ny;
   const std::size_t MX = prob_.modes_x;
 
-  if (!fused_mid) {
-    // Unfused middle: materialize the x-major intermediates for the whole
-    // batch, exactly the PR-3 schedule.
-    ensure_mid_buffers(B, false, 0);
-    run_fft_x_trunc(u, mid_in_.span(), B);
-    MidView mv;
-    mv.in = mid_in_.data();
-    mv.out = mid_out_.data();
-    mv.count = B;
-    mv.in_y = 1;
-    mv.out_y = 1;
-    mv.in_x = NY;
-    mv.out_x = NY;
-    mv.chan = MX * NY;
-    mv.in_b = K * MX * NY;
-    mv.out_b = O * MX * NY;
-    middle(mv);
-    run_ifft_x_pad(mid_out_.span(), v, B);
-    return;
-  }
-
-  // Fused middle: stage one batch group of y-major X-spectra tiles at a
-  // time.  Each group runs X -> middle -> inverse X back to back so the
-  // tiles are consumed while still cache-resident; the parallel_for inside
-  // each phase keeps the worker pool busy (group * K * slab tasks).
+  // Stage one batch group of y-major X-spectra tiles at a time.  Each group
+  // runs X -> middle -> inverse X back to back so the tiles are consumed
+  // while still cache-resident; the parallel_for inside each phase keeps
+  // the worker pool busy (group * K * slab tasks).
   const std::size_t bg = std::max<std::size_t>(group, 1);
-  ensure_mid_buffers(B, true, bg);
+  ensure_mid_buffers(bg);
 
   for (std::size_t b0 = 0; b0 < B; b0 += bg) {
     const std::size_t g = std::min(bg, B - b0);
@@ -293,10 +206,7 @@ void Pipeline2dBase::run_mid(std::span<const c32> u, std::span<c32> v, std::size
     mv.in = staging_in_.data();
     mv.out = staging_out_.data();
     mv.count = g;
-    mv.in_y = static_cast<std::ptrdiff_t>(MX);
-    mv.out_y = static_cast<std::ptrdiff_t>(MX);
-    mv.in_x = 1;
-    mv.out_x = 1;
+    mv.y = MX;
     mv.chan = NY * MX;
     mv.in_b = K * NY * MX;
     mv.out_b = O * NY * MX;
@@ -332,7 +242,7 @@ void Pipeline2dBase::run_mid(std::span<const c32> u, std::span<c32> v, std::size
 }
 
 void Pipeline2dBase::run_mid_real(std::span<const float> u, std::span<float> v,
-                                  std::size_t batch, bool fused_mid, std::size_t group,
+                                  std::size_t batch, std::size_t group,
                                   const std::function<void(const MidView&)>& middle) {
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
@@ -341,90 +251,58 @@ void Pipeline2dBase::run_mid_real(std::span<const float> u, std::span<float> v,
   const std::size_t NY = prob_.ny;
   const std::size_t MXR = real_modes_x();
 
-  if (!fused_mid) {
-    // Unfused middle: the MX-sized intermediates are a capacity superset of
-    // the MXR-packed real layout the view strides describe.
-    ensure_mid_buffers(B, false, 0);
+  // Identical group staging to run_mid, with the tiles' column spectra
+  // packed MXR apart (MXR <= MX, so the MX-sized staging covers them).
+  const std::size_t bg = std::max<std::size_t>(group, 1);
+  ensure_mid_buffers(bg);
+
+  for (std::size_t b0 = 0; b0 < B; b0 += bg) {
+    const std::size_t g = std::min(bg, B - b0);
     {
       runtime::Timer t;
-      fft::rfft2d_x_stage(NX, MXR, u.data(), mid_in_.data(), B * K, NY);
+      fft::rfft2d_x_stage_to_tiles(
+          NX, MXR, u.data() + b0 * K * NX * NY, g * K, NY,
+          [this, MXR, NY](std::size_t f, std::size_t y0, std::size_t) {
+            return staging_in_.data() + (f * NY + y0) * MXR;
+          });
       counters_.stage("fft-x-trunc").seconds += t.seconds();
     }
+
     MidView mv;
-    mv.in = mid_in_.data();
-    mv.out = mid_out_.data();
-    mv.count = B;
-    mv.in_y = 1;
-    mv.out_y = 1;
-    mv.in_x = NY;
-    mv.out_x = NY;
-    mv.chan = MXR * NY;
-    mv.in_b = K * MXR * NY;
-    mv.out_b = O * MXR * NY;
+    mv.in = staging_in_.data();
+    mv.out = staging_out_.data();
+    mv.count = g;
+    mv.y = MXR;
+    mv.chan = NY * MXR;
+    mv.in_b = K * NY * MXR;
+    mv.out_b = O * NY * MXR;
     middle(mv);
+
     {
       runtime::Timer t;
-      fft::irfft2d_x_stage(NX, MXR, mid_out_.data(), v.data(), B * O, NY);
+      fft::irfft2d_x_stage_from_tiles(
+          NX, MXR,
+          [this, MXR, NY](std::size_t f, std::size_t y0, std::size_t) {
+            return static_cast<const c32*>(staging_out_.data() + (f * NY + y0) * MXR);
+          },
+          v.data() + b0 * O * NX * NY, g * O, NY);
       counters_.stage("ifft-x-pad").seconds += t.seconds();
-    }
-  } else {
-    // Fused middle: identical group staging to run_mid, with the tiles'
-    // column spectra packed MXR apart.
-    const std::size_t bg = std::max<std::size_t>(group, 1);
-    ensure_mid_buffers(B, true, bg);
-
-    for (std::size_t b0 = 0; b0 < B; b0 += bg) {
-      const std::size_t g = std::min(bg, B - b0);
-      {
-        runtime::Timer t;
-        fft::rfft2d_x_stage_to_tiles(
-            NX, MXR, u.data() + b0 * K * NX * NY, g * K, NY,
-            [this, MXR, NY](std::size_t f, std::size_t y0, std::size_t) {
-              return staging_in_.data() + (f * NY + y0) * MXR;
-            });
-        counters_.stage("fft-x-trunc").seconds += t.seconds();
-      }
-
-      MidView mv;
-      mv.in = staging_in_.data();
-      mv.out = staging_out_.data();
-      mv.count = g;
-      mv.in_y = static_cast<std::ptrdiff_t>(MXR);
-      mv.out_y = static_cast<std::ptrdiff_t>(MXR);
-      mv.in_x = 1;
-      mv.out_x = 1;
-      mv.chan = NY * MXR;
-      mv.in_b = K * NY * MXR;
-      mv.out_b = O * NY * MXR;
-      middle(mv);
-
-      {
-        runtime::Timer t;
-        fft::irfft2d_x_stage_from_tiles(
-            NX, MXR,
-            [this, MXR, NY](std::size_t f, std::size_t y0, std::size_t) {
-              return static_cast<const c32*>(staging_out_.data() + (f * NY + y0) * MXR);
-            },
-            v.data() + b0 * O * NX * NY, g * O, NY);
-        counters_.stage("ifft-x-pad").seconds += t.seconds();
-      }
     }
   }
 
   // Closed-form per-run accounting.  The real X stages run one full-length
   // packed C2C transform per column *pair* plus an O(MXR) untangle per
-  // column; field traffic is real floats, and — as in run_mid — the fused
+  // column; field traffic is real floats, and — as in run_mid — the
   // staging tiles count as on-chip (zero global bytes).
-  const std::uint64_t e = sizeof(c32);
   const auto fx = fft::acquire_plan({NX, fft::Direction::Forward});
   const auto ix = fft::acquire_plan({NX, fft::Direction::Inverse});
   auto& sx = counters_.stage("fft-x-trunc");
   sx.bytes_read = B * K * NX * NY * sizeof(float);
-  sx.bytes_written = fused_mid ? 0 : B * K * MXR * NY * e;
+  sx.bytes_written = 0;
   sx.flops = B * K * (NY / 2) * fx->flops_per_signal() + B * K * NY * 8 * MXR;
   sx.kernel_launches = 1;
   auto& si = counters_.stage("ifft-x-pad");
-  si.bytes_read = fused_mid ? 0 : B * O * MXR * NY * e;
+  si.bytes_read = 0;
   si.bytes_written = B * O * NX * NY * sizeof(float);
   si.flops = B * O * (NY / 2) * ix->flops_per_signal() + B * O * NY * 8 * MXR;
   si.kernel_launches = 1;
@@ -447,7 +325,7 @@ void FftOptPipeline2d::ensure_variant_buffers(std::size_t gcap) {
 
 void FftOptPipeline2d::reserve(std::size_t batch) {
   if (batch != 0) {
-    ensure_variant_buffers(fft::fused_mid_enabled() ? mid_group(batch) : batch);
+    ensure_variant_buffers(mid_group(batch));
   }
   Pipeline2dBase::reserve(batch);
 }
@@ -492,23 +370,21 @@ void FftOptPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> 
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
-  const bool fused_mid = fft::fused_mid_enabled();
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t NY = prob_.ny;
   const std::size_t MX = prob_.modes_x;
   const std::size_t modes = MX * prob_.modes_y;
 
-  const std::size_t gcap = fused_mid ? mid_group(B) : B;
+  const std::size_t gcap = mid_group(B);
   ensure_variant_buffers(gcap);
 
-  run_mid(u, v, B, fused_mid, gcap,
+  run_mid(u, v, B, gcap,
           [&](const MidView& mv) { middle_group(mv, w, MX); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sy = counters_.stage("fft-y-trunc");
-  sy.bytes_read = fused_mid ? 0 : B * K * MX * NY * e;
+  sy.bytes_read = 0;
   sy.bytes_written = B * K * modes * e;
   sy.flops = B * K * MX * fwd_y_.plan().flops_per_signal();
   sy.kernel_launches = 1;
@@ -519,7 +395,7 @@ void FftOptPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> 
   sg.kernel_launches = 1;
   auto& sp = counters_.stage("ifft-y-pad");
   sp.bytes_read = B * O * modes * e;
-  sp.bytes_written = fused_mid ? 0 : B * O * MX * NY * e;
+  sp.bytes_written = 0;
   sp.flops = B * O * MX * inv_y_.plan().flops_per_signal();
   sp.kernel_launches = 1;
 }
@@ -530,23 +406,21 @@ void FftOptPipeline2d::run_batched_real(std::span<const float> u, std::span<cons
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
-  const bool fused_mid = fft::fused_mid_enabled();
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t NY = prob_.ny;
   const std::size_t MXR = real_modes_x();
   const std::size_t modes = MXR * prob_.modes_y;
 
-  const std::size_t gcap = fused_mid ? mid_group(B) : B;
+  const std::size_t gcap = mid_group(B);
   ensure_variant_buffers(gcap);
 
-  run_mid_real(u, v, B, fused_mid, gcap,
+  run_mid_real(u, v, B, gcap,
                [&](const MidView& mv) { middle_group(mv, w, MXR); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sy = counters_.stage("fft-y-trunc");
-  sy.bytes_read = fused_mid ? 0 : B * K * MXR * NY * e;
+  sy.bytes_read = 0;
   sy.bytes_written = B * K * modes * e;
   sy.flops = B * K * MXR * fwd_y_.plan().flops_per_signal();
   sy.kernel_launches = 1;
@@ -557,7 +431,7 @@ void FftOptPipeline2d::run_batched_real(std::span<const float> u, std::span<cons
   sg.kernel_launches = 1;
   auto& sp = counters_.stage("ifft-y-pad");
   sp.bytes_read = B * O * modes * e;
-  sp.bytes_written = fused_mid ? 0 : B * O * MXR * NY * e;
+  sp.bytes_written = 0;
   sp.flops = B * O * MXR * inv_y_.plan().flops_per_signal();
   sp.kernel_launches = 1;
 }
@@ -578,7 +452,7 @@ void FusedFftGemmPipeline2d::ensure_variant_buffers(std::size_t gcap) {
 
 void FusedFftGemmPipeline2d::reserve(std::size_t batch) {
   if (batch != 0) {
-    ensure_variant_buffers(fft::fused_mid_enabled() ? mid_group(batch) : batch);
+    ensure_variant_buffers(mid_group(batch));
   }
   Pipeline2dBase::reserve(batch);
 }
@@ -597,8 +471,7 @@ void FusedFftGemmPipeline2d::middle_group(const MidView& mv, std::span<const c32
   {
     runtime::Timer t;
     const std::size_t ld = simd::round_up_lanes(MY);
-    const bool tiled = mv.in_y != 1;
-    const std::size_t xb = tiled ? std::min<std::size_t>(kXBlock, mx) : 1;
+    const std::size_t xb = std::min<std::size_t>(kXBlock, mx);
     const std::size_t nblk = (mx + xb - 1) / xb;
     runtime::parallel_for(0, mv.count * nblk, runtime::fused_grain(mv.count * nblk),
                           [&](std::size_t lo, std::size_t hi) {
@@ -608,8 +481,7 @@ void FusedFftGemmPipeline2d::middle_group(const MidView& mv, std::span<const c32
       const std::span<c32> tile = arena.alloc<c32>(kTb * ld);
       const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
       const std::span<float> acc = arena.alloc<float>(xb * 2 * O * ld);
-      const std::span<c32> gbuf =
-          tiled ? arena.alloc<c32>(kTb * xb * NY) : std::span<c32>{};
+      const std::span<c32> gbuf = arena.alloc<c32>(kTb * xb * NY);
       const std::span<c32> work = arena.alloc<c32>(fwd_y_.plan().scratch_elems());
       // rank_update_split streams whole ld-wide rows, so the tile planes'
       // lane padding must be zero; the arena hands out raw storage.
@@ -623,17 +495,11 @@ void FusedFftGemmPipeline2d::middle_group(const MidView& mv, std::span<const c32
         std::fill(acc.begin(), acc.end(), 0.0f);
         for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
           const std::size_t kc = std::min(kTb, K - k0);
-          if (tiled) gather_xblock(mv, bl, k0, kc, x0, xc, xb, NY, gbuf.data());
+          gather_xblock(mv, bl, k0, kc, x0, xc, xb, NY, gbuf.data());
           for (std::size_t xi = 0; xi < xc; ++xi) {
             float* are = acc.data() + xi * 2 * O * ld;
             float* aim = are + O * ld;
-            if (tiled) {
-              fwd_y_.forward_tile(gbuf.data() + xi * NY, xb * NY, kc, tile.data(), ld,
-                                  work);
-            } else {
-              fwd_y_.forward_tile(mv.in_row(bl, k0, x0 + xi), mv.chan, kc, tile.data(),
-                                  ld, work, mv.in_y);
-            }
+            fwd_y_.forward_tile(gbuf.data() + xi * NY, xb * NY, kc, tile.data(), ld, work);
             for (std::size_t kk = 0; kk < kc; ++kk) {
               simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, MY);
             }
@@ -669,29 +535,27 @@ void FusedFftGemmPipeline2d::run_batched(std::span<const c32> u, std::span<const
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
-  const bool fused_mid = fft::fused_mid_enabled();
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t NY = prob_.ny;
   const std::size_t MX = prob_.modes_x;
   const std::size_t modes = MX * prob_.modes_y;
 
-  const std::size_t gcap = fused_mid ? mid_group(B) : B;
+  const std::size_t gcap = mid_group(B);
   ensure_variant_buffers(gcap);
 
-  run_mid(u, v, B, fused_mid, gcap,
+  run_mid(u, v, B, gcap,
           [&](const MidView& mv) { middle_group(mv, w, MX); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sf = counters_.stage("fused-fft-cgemm");
-  sf.bytes_read = ((fused_mid ? 0 : B * K * MX * NY) + O * K) * e;
+  sf.bytes_read = O * K * e;
   sf.bytes_written = B * O * modes * e;
   sf.flops = B * K * MX * fwd_y_.plan().flops_per_signal() + trace::cgemm_flops(B * modes, O, K);
   sf.kernel_launches = 1;
   auto& sp = counters_.stage("ifft-y-pad");
   sp.bytes_read = B * O * modes * e;
-  sp.bytes_written = fused_mid ? 0 : B * O * MX * NY * e;
+  sp.bytes_written = 0;
   sp.flops = B * O * MX * inv_y_.plan().flops_per_signal();
   sp.kernel_launches = 1;
 }
@@ -702,30 +566,28 @@ void FusedFftGemmPipeline2d::run_batched_real(std::span<const float> u, std::spa
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
-  const bool fused_mid = fft::fused_mid_enabled();
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t NY = prob_.ny;
   const std::size_t MXR = real_modes_x();
   const std::size_t modes = MXR * prob_.modes_y;
 
-  const std::size_t gcap = fused_mid ? mid_group(B) : B;
+  const std::size_t gcap = mid_group(B);
   ensure_variant_buffers(gcap);
 
-  run_mid_real(u, v, B, fused_mid, gcap,
+  run_mid_real(u, v, B, gcap,
                [&](const MidView& mv) { middle_group(mv, w, MXR); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sf = counters_.stage("fused-fft-cgemm");
-  sf.bytes_read = ((fused_mid ? 0 : B * K * MXR * NY) + O * K) * e;
+  sf.bytes_read = O * K * e;
   sf.bytes_written = B * O * modes * e;
   sf.flops =
       B * K * MXR * fwd_y_.plan().flops_per_signal() + trace::cgemm_flops(B * modes, O, K);
   sf.kernel_launches = 1;
   auto& sp = counters_.stage("ifft-y-pad");
   sp.bytes_read = B * O * modes * e;
-  sp.bytes_written = fused_mid ? 0 : B * O * MXR * NY * e;
+  sp.bytes_written = 0;
   sp.flops = B * O * MXR * inv_y_.plan().flops_per_signal();
   sp.kernel_launches = 1;
 }
@@ -746,7 +608,7 @@ void FusedGemmIfftPipeline2d::ensure_variant_buffers(std::size_t gcap) {
 
 void FusedGemmIfftPipeline2d::reserve(std::size_t batch) {
   if (batch != 0) {
-    ensure_variant_buffers(fft::fused_mid_enabled() ? mid_group(batch) : batch);
+    ensure_variant_buffers(mid_group(batch));
   }
   Pipeline2dBase::reserve(batch);
 }
@@ -771,8 +633,7 @@ void FusedGemmIfftPipeline2d::middle_group(const MidView& mv, std::span<const c3
   {
     runtime::Timer t;
     const std::size_t ld = simd::round_up_lanes(MY);
-    const bool tiled = mv.out_y != 1;
-    const std::size_t xb = tiled ? std::min<std::size_t>(kXBlock, mx) : 1;
+    const std::size_t xb = std::min<std::size_t>(kXBlock, mx);
     const std::size_t nblk = (mx + xb - 1) / xb;
     runtime::parallel_for(0, mv.count * nblk, runtime::fused_grain(mv.count * nblk),
                           [&](std::size_t lo, std::size_t hi) {
@@ -782,7 +643,7 @@ void FusedGemmIfftPipeline2d::middle_group(const MidView& mv, std::span<const c3
       const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
       const std::span<float> acc = arena.alloc<float>(xb * 2 * O * ld);
       const std::span<c32> row = arena.alloc<c32>(ld);
-      const std::span<c32> sbuf = tiled ? arena.alloc<c32>(xb * NY) : std::span<c32>{};
+      const std::span<c32> sbuf = arena.alloc<c32>(xb * NY);
       const std::span<c32> work = arena.alloc<c32>(inv_y_.plan().scratch_elems());
       std::fill(tsplit.begin(), tsplit.end(), 0.0f);
       float* tre = tsplit.data();
@@ -813,13 +674,9 @@ void FusedGemmIfftPipeline2d::middle_group(const MidView& mv, std::span<const c3
             const float* are = acc.data() + xi * 2 * O * ld;
             const float* aim = are + O * ld;
             simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MY);
-            if (tiled) {
-              inv_y_.inverse_row(row.data(), sbuf.data() + xi * NY, work);
-            } else {
-              inv_y_.inverse_row(row.data(), mv.out_row(bl, o, x0 + xi), work, mv.out_y);
-            }
+            inv_y_.inverse_row(row.data(), sbuf.data() + xi * NY, work);
           }
-          if (tiled) scatter_xblock(mv, bl, o, x0, xc, NY, sbuf.data());
+          scatter_xblock(mv, bl, o, x0, xc, NY, sbuf.data());
         }
       }
       // tfno-hot-end
@@ -834,29 +691,27 @@ void FusedGemmIfftPipeline2d::run_batched(std::span<const c32> u, std::span<cons
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
-  const bool fused_mid = fft::fused_mid_enabled();
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t NY = prob_.ny;
   const std::size_t MX = prob_.modes_x;
   const std::size_t modes = MX * prob_.modes_y;
 
-  const std::size_t gcap = fused_mid ? mid_group(B) : B;
+  const std::size_t gcap = mid_group(B);
   ensure_variant_buffers(gcap);
 
-  run_mid(u, v, B, fused_mid, gcap,
+  run_mid(u, v, B, gcap,
           [&](const MidView& mv) { middle_group(mv, w, MX); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sy = counters_.stage("fft-y-trunc");
-  sy.bytes_read = fused_mid ? 0 : B * K * MX * NY * e;
+  sy.bytes_read = 0;
   sy.bytes_written = B * K * modes * e;
   sy.flops = B * K * MX * fwd_y_.plan().flops_per_signal();
   sy.kernel_launches = 1;
   auto& sf = counters_.stage("fused-cgemm-ifft");
   sf.bytes_read = (B * K * modes + O * K) * e;
-  sf.bytes_written = fused_mid ? 0 : B * O * MX * NY * e;
+  sf.bytes_written = 0;
   sf.flops = trace::cgemm_flops(B * modes, O, K) + B * O * MX * inv_y_.plan().flops_per_signal();
   sf.kernel_launches = 1;
 }
@@ -867,29 +722,27 @@ void FusedGemmIfftPipeline2d::run_batched_real(std::span<const float> u, std::sp
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
-  const bool fused_mid = fft::fused_mid_enabled();
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t NY = prob_.ny;
   const std::size_t MXR = real_modes_x();
   const std::size_t modes = MXR * prob_.modes_y;
 
-  const std::size_t gcap = fused_mid ? mid_group(B) : B;
+  const std::size_t gcap = mid_group(B);
   ensure_variant_buffers(gcap);
 
-  run_mid_real(u, v, B, fused_mid, gcap,
+  run_mid_real(u, v, B, gcap,
                [&](const MidView& mv) { middle_group(mv, w, MXR); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sy = counters_.stage("fft-y-trunc");
-  sy.bytes_read = fused_mid ? 0 : B * K * MXR * NY * e;
+  sy.bytes_read = 0;
   sy.bytes_written = B * K * modes * e;
   sy.flops = B * K * MXR * fwd_y_.plan().flops_per_signal();
   sy.kernel_launches = 1;
   auto& sf = counters_.stage("fused-cgemm-ifft");
   sf.bytes_read = (B * K * modes + O * K) * e;
-  sf.bytes_written = fused_mid ? 0 : B * O * MXR * NY * e;
+  sf.bytes_written = 0;
   sf.flops = trace::cgemm_flops(B * modes, O, K) + B * O * MXR * inv_y_.plan().flops_per_signal();
   sf.kernel_launches = 1;
 }
@@ -912,13 +765,12 @@ void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> 
 
   // Fused FFT-Y + CGEMM + iFFT-Y per (batch, x-block): the middle of the
   // pipeline never touches global memory (Figure 9's fused kernel).  On
-  // the fused y-major staging, a block of kXBlock x-rows moves through
-  // one SIMD transpose per k-tile channel (and back per output channel)
-  // so the k-loop always streams contiguous rows.
+  // the y-major staging, a block of kXBlock x-rows moves through one SIMD
+  // transpose per k-tile channel (and back per output channel) so the
+  // k-loop always streams contiguous rows.
   runtime::Timer t;
   const std::size_t ld = simd::round_up_lanes(MY);
-  const bool tiled = mv.in_y != 1;  // y-major staging on both sides
-  const std::size_t xb = tiled ? std::min<std::size_t>(kXBlock, mx) : 1;
+  const std::size_t xb = std::min<std::size_t>(kXBlock, mx);
   const std::size_t nblk = (mx + xb - 1) / xb;
   runtime::parallel_for(0, mv.count * nblk, runtime::fused_grain(mv.count * nblk),
                         [&](std::size_t lo, std::size_t hi) {
@@ -929,9 +781,8 @@ void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> 
     const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
     const std::span<float> acc = arena.alloc<float>(xb * 2 * O * ld);
     const std::span<c32> row = arena.alloc<c32>(ld);
-    const std::span<c32> gbuf =
-        tiled ? arena.alloc<c32>(kTb * xb * NY) : std::span<c32>{};
-    const std::span<c32> sbuf = tiled ? arena.alloc<c32>(xb * NY) : std::span<c32>{};
+    const std::span<c32> gbuf = arena.alloc<c32>(kTb * xb * NY);
+    const std::span<c32> sbuf = arena.alloc<c32>(xb * NY);
     const std::span<c32> work = arena.alloc<c32>(fwd_y_.plan().scratch_elems());
     // rank_update_split streams whole ld-wide rows, so the tile planes'
     // lane padding must be zero; the arena hands out raw storage.
@@ -945,16 +796,11 @@ void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> 
       std::fill(acc.begin(), acc.end(), 0.0f);
       for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
         const std::size_t kc = std::min(kTb, K - k0);
-        if (tiled) gather_xblock(mv, bl, k0, kc, x0, xc, xb, NY, gbuf.data());
+        gather_xblock(mv, bl, k0, kc, x0, xc, xb, NY, gbuf.data());
         for (std::size_t xi = 0; xi < xc; ++xi) {
           float* are = acc.data() + xi * 2 * O * ld;
           float* aim = are + O * ld;
-          if (tiled) {
-            fwd_y_.forward_tile(gbuf.data() + xi * NY, xb * NY, kc, tile.data(), ld, work);
-          } else {
-            fwd_y_.forward_tile(mv.in_row(bl, k0, x0 + xi), mv.chan, kc, tile.data(), ld,
-                                work, mv.in_y);
-          }
+          fwd_y_.forward_tile(gbuf.data() + xi * NY, xb * NY, kc, tile.data(), ld, work);
           for (std::size_t kk = 0; kk < kc; ++kk) {
             simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, MY);
           }
@@ -966,13 +812,9 @@ void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> 
           const float* are = acc.data() + xi * 2 * O * ld;
           const float* aim = are + O * ld;
           simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MY);
-          if (tiled) {
-            inv_y_.inverse_row(row.data(), sbuf.data() + xi * NY, work);
-          } else {
-            inv_y_.inverse_row(row.data(), mv.out_row(bl, o, x0 + xi), work, mv.out_y);
-          }
+          inv_y_.inverse_row(row.data(), sbuf.data() + xi * NY, work);
         }
-        if (tiled) scatter_xblock(mv, bl, o, x0, xc, NY, sbuf.data());
+        scatter_xblock(mv, bl, o, x0, xc, NY, sbuf.data());
       }
     }
     // tfno-hot-end
@@ -986,22 +828,20 @@ void FullyFusedPipeline2d::run_batched(std::span<const c32> u, std::span<const c
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
-  const bool fused_mid = fft::fused_mid_enabled();
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t NY = prob_.ny;
   const std::size_t MX = prob_.modes_x;
   const std::size_t modes = MX * prob_.modes_y;
 
-  const std::size_t gcap = fused_mid ? mid_group(B) : B;
-  run_mid(u, v, B, fused_mid, gcap,
+  const std::size_t gcap = mid_group(B);
+  run_mid(u, v, B, gcap,
           [&](const MidView& mv) { middle_group(mv, w, MX); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sf = counters_.stage("fused-fft-cgemm-ifft");
-  sf.bytes_read = ((fused_mid ? 0 : B * K * MX * NY) + O * K) * e;
-  sf.bytes_written = fused_mid ? 0 : B * O * MX * NY * e;
+  sf.bytes_read = O * K * e;
+  sf.bytes_written = 0;
   sf.flops = B * K * MX * fwd_y_.plan().flops_per_signal() +
              trace::cgemm_flops(B * modes, O, K) +
              B * O * MX * inv_y_.plan().flops_per_signal();
@@ -1014,22 +854,20 @@ void FullyFusedPipeline2d::run_batched_real(std::span<const float> u, std::span<
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
-  const bool fused_mid = fft::fused_mid_enabled();
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t NY = prob_.ny;
   const std::size_t MXR = real_modes_x();
   const std::size_t modes = MXR * prob_.modes_y;
 
-  const std::size_t gcap = fused_mid ? mid_group(B) : B;
-  run_mid_real(u, v, B, fused_mid, gcap,
+  const std::size_t gcap = mid_group(B);
+  run_mid_real(u, v, B, gcap,
                [&](const MidView& mv) { middle_group(mv, w, MXR); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sf = counters_.stage("fused-fft-cgemm-ifft");
-  sf.bytes_read = ((fused_mid ? 0 : B * K * MXR * NY) + O * K) * e;
-  sf.bytes_written = fused_mid ? 0 : B * O * MXR * NY * e;
+  sf.bytes_read = O * K * e;
+  sf.bytes_written = 0;
   sf.flops = B * K * MXR * fwd_y_.plan().flops_per_signal() +
              trace::cgemm_flops(B * modes, O, K) +
              B * O * MXR * inv_y_.plan().flops_per_signal();

@@ -1,8 +1,8 @@
 // Cache-blocked complex matrix transpose on the SIMD layer.
 //
-// The 2D FFT's X stage runs one stride-ny transform per column when executed
-// in place; the transpose-based schedule (fft/fft2d.cpp) instead swaps the
-// field into row-major order, runs contiguous transforms, and swaps back.
+// Executed in place, the 2D FFT's X stage would run one stride-ny transform
+// per column; the X stage (fft/fft2d.cpp) instead swaps the field into
+// row-major order, runs contiguous transforms, and swaps back.
 // That trade only pays off if the transpose itself moves whole cache lines,
 // so the inner loop is a 4x4 tile held entirely in registers
 // (B::ptranspose4, 8 shuffles on AVX2) and tiles are walked in TB x TB
@@ -10,7 +10,7 @@
 // in L1/L2.  Backends without packed 4-wide vectors (planes != 4) fall back
 // to a scalar 4x4 tile, which keeps the blocked walk and its locality.
 //
-// The fused-middle schedule (fft2d_x_stage_to_tiles/_from_tiles) halves the
+// The fused middle (fft2d_x_stage_to_tiles/_from_tiles) halves the
 // transpose count: only the side that faces the x-major global tensors (the
 // gather from u on forward, the scatter into v on inverse) remains; the
 // other side is replaced by y-major staging tiles consumed in place.

@@ -273,34 +273,5 @@ TEST(EngineCheckpoint, LoadModelValidatesBundleUpFront) {
   EXPECT_THROW(engine.load_model(cfg, bundle), std::runtime_error);
 }
 
-// The v1 entry points must keep compiling (they warn; silenced here only
-// because this test exists to exercise them) and produce identical models.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ApiV1Shims, DeprecatedConstructorsStillCompileAndMatch) {
-  const auto cfg = cfg_1d(Backend::FullyFused);
-  const std::size_t batch = 2;
-  std::vector<c32> u(batch * cfg.in_channels * cfg.n);
-  burgers_batch(u, batch, cfg.in_channels, cfg.n, 17u);
-
-  Fno1d v1(cfg, batch);  // deprecated two-argument constructor
-  Fno1d v2(cfg);
-  v2.reserve(batch);
-  ASSERT_EQ(v1.capacity(), v2.capacity());
-
-  std::vector<c32> out1(batch * cfg.out_channels * cfg.n);
-  std::vector<c32> out2(out1.size());
-  v1.forward(u, out1, batch);
-  v2.forward(u, out2, batch);
-  EXPECT_TRUE(bitwise_equal(out1, out2));
-
-  const auto cfg2 = cfg_2d(Backend::FullyFused);
-  Fno2d w1(cfg2, 2);  // deprecated
-  Fno2d w2(cfg2);
-  w2.reserve(2);
-  EXPECT_EQ(w1.capacity(), w2.capacity());
-}
-#pragma GCC diagnostic pop
-
 }  // namespace
 }  // namespace turbofno::core

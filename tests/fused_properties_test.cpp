@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "fft/fft2d.hpp"
 #include "fft/opcount.hpp"
 #include "fused/ladder.hpp"
 #include "test_util.hpp"
@@ -94,42 +93,35 @@ INSTANTIATE_TEST_SUITE_P(ShapeGrid, CounterLaws1d,
 
 class CounterLaws2d : public ::testing::TestWithParam<Spectral2dProblem> {};
 
-// Restores the middle-stage schedule even when a test fails mid-flight.
-struct FusedMidGuard {
-  bool prev = fft::fused_mid_enabled();
-  ~FusedMidGuard() { fft::set_fused_mid(prev); }
-};
-
 TEST_P(CounterLaws2d, FullyFusedBytesFormula) {
+  // The X spectra stay in staging tiles, so only the true global tensors
+  // and the weights count as traffic.
   const auto& p = GetParam();
   const auto u = random_signal(p.input_elems(), 3011u);
   const auto w = random_signal(p.weight_elems(), 3013u);
   std::vector<c32> v(p.output_elems());
   auto pipe = make_pipeline2d(Variant::FullyFused, p);
   const std::uint64_t e = sizeof(c32);
-  const std::uint64_t mid = p.batch * p.hidden * p.modes_x * p.ny;     // after X stage
-  const std::uint64_t mid_out = p.batch * p.out_dim * p.modes_x * p.ny;
-  const FusedMidGuard guard;
-
-  // Fused middle (default): the X spectra stay in staging tiles, so only
-  // the true global tensors and the weights count as traffic.
-  fft::set_fused_mid(true);
   pipe->run(u, w, v);
-  auto t = pipe->counters().total();
+  const auto t = pipe->counters().total();
   EXPECT_EQ(t.bytes_read, (p.input_elems() + p.weight_elems()) * e);
   EXPECT_EQ(t.bytes_written, p.output_elems() * e);
   EXPECT_EQ(t.kernel_launches, 3u);
+}
 
-  // Unfused middle: the x-major [B,K,mx,ny] intermediates go through
-  // memory once in each direction.
-  fft::set_fused_mid(false);
-  pipe->run(u, w, v);
-  t = pipe->counters().total();
-  const std::uint64_t expect_read =
-      p.input_elems() * e + (mid + p.weight_elems()) * e + mid_out * e;
-  const std::uint64_t expect_write = mid * e + mid_out * e + p.output_elems() * e;
-  EXPECT_EQ(t.bytes_read, expect_read);
-  EXPECT_EQ(t.bytes_written, expect_write);
+TEST_P(CounterLaws2d, FullyFusedRealLaneBytesFormula) {
+  // The real lane's fields are floats; the weights stay complex and the
+  // half-spectrum staging tiles count as on-chip, as on the complex lane.
+  const auto& p = GetParam();
+  std::vector<float> u(p.input_elems());
+  for (std::size_t i = 0; i < u.size(); ++i) u[i] = static_cast<float>(i % 7) - 3.0f;
+  const auto w = random_signal(p.weight_elems(), 3015u);
+  std::vector<float> v(p.output_elems());
+  auto pipe = make_pipeline2d(Variant::FullyFused, p);
+  pipe->run_batched_real(u, w, v, p.batch);
+  const auto t = pipe->counters().total();
+  EXPECT_EQ(t.bytes_read, p.input_elems() * sizeof(float) + p.weight_elems() * sizeof(c32));
+  EXPECT_EQ(t.bytes_written, p.output_elems() * sizeof(float));
   EXPECT_EQ(t.kernel_launches, 3u);
 }
 

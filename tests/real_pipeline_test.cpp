@@ -1,16 +1,15 @@
-// Real-spectral (RFFT) lane: every 1D/2D ladder variant's run_batched_real
-// must match a direct double-precision half-spectrum reference, the knob-off
-// C2C emulation must agree with the knob-on RFFT schedule at the layer and
-// model level, and the steady state must stay allocation-free.
+// Real-spectral (RFFT) lane: every 1D/2D ladder variant's run_batched_real,
+// the SpectralConv*::forward_real layers and a whole Fno1d::forward_real
+// must match direct double-precision half-spectrum references, and the
+// steady state must stay allocation-free.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/api.hpp"
-#include "fft/fft2d.hpp"
-#include "fft/real.hpp"
 #include "fft/reference.hpp"
 #include "fused/ladder.hpp"
 #include "fused/pipeline2d.hpp"
@@ -222,9 +221,6 @@ INSTANTIATE_TEST_SUITE_P(Ladder, RealLadder1d, ::testing::ValuesIn(real_cases_1d
 
 struct RealCase2d {
   Variant variant;
-  bool fused_mid;
-  bool x_transpose;  // complex X-stage schedule knob — the real lane must
-                     // be invariant under it
   Spectral2dProblem prob;
 };
 
@@ -233,26 +229,25 @@ std::vector<RealCase2d> real_cases_2d() {
       {2, 6, 6, 16, 16, 6, 6},
       {1, 8, 4, 32, 16, 12, 8},
       {2, 5, 7, 16, 32, 16, 12},  // modes_x == nx (no X truncation)
+      {3, 6, 6, 16, 16, 1, 6},    // one x-row: [ny, 1] staging tiles
   };
   std::vector<RealCase2d> cases;
   for (const auto v : kAllVariants) {
-    for (const bool fm : {false, true}) {
-      for (const bool tr : {false, true}) {
-        for (const auto& p : probs) cases.push_back({v, fm, tr, p});
-      }
-    }
+    for (const auto& p : probs) cases.push_back({v, p});
   }
   return cases;
 }
 
+// Restores the default group policy even when a test fails mid-flight.
+struct GroupGuard {
+  ~GroupGuard() { set_fused_mid_group(0); }
+};
+
 class RealLadder2d : public ::testing::TestWithParam<RealCase2d> {};
 
 TEST_P(RealLadder2d, MatchesDirectReference) {
-  const auto& [variant, fused_mid, x_transpose, prob] = GetParam();
-  const bool prev_mid = fft::fused_mid_enabled();
-  const bool prev_tr = fft::fft2d_transpose_enabled();
-  fft::set_fused_mid(fused_mid);
-  fft::set_fft2d_transpose(x_transpose);
+  const auto& [variant, prob] = GetParam();
+  const GroupGuard guard;
   set_fused_mid_group(2);  // exercise group chunking, not just whole-batch
   const auto u = random_reals(prob.batch * prob.hidden * prob.nx * prob.ny,
                               601u + static_cast<unsigned>(prob.nx));
@@ -260,48 +255,39 @@ TEST_P(RealLadder2d, MatchesDirectReference) {
   std::vector<float> v(prob.batch * prob.out_dim * prob.nx * prob.ny, 0.0f);
   auto pipe = make_pipeline2d(variant, prob, /*real_input=*/true);
   pipe->run_batched_real(u, w, v, prob.batch);
-  set_fused_mid_group(0);
-  fft::set_fused_mid(prev_mid);
-  fft::set_fft2d_transpose(prev_tr);
   const auto ref = reference_real_conv_2d(prob, u, w);
-  EXPECT_LT(rel_err_f(v, ref), 1e-4)
-      << pipe->name() << " fused_mid=" << fused_mid << " x_transpose=" << x_transpose;
+  EXPECT_LT(rel_err_f(v, ref), 1e-4) << pipe->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(Ladder, RealLadder2d, ::testing::ValuesIn(real_cases_2d()));
 
-// ------------------------------------------------- layer + model level A/B
+// ------------------------------------------------- layer + model level
 
-class RealSpectralKnob : public ::testing::Test {
- protected:
-  void TearDown() override { fft::set_real_spectral(true); }
-};
+std::vector<c32> weights_of(std::span<const c32> w) { return {w.begin(), w.end()}; }
 
-TEST_F(RealSpectralKnob, Conv1dKnobOffMatchesKnobOn) {
-  core::SpectralConv1d conv(2, 8, 8, 64, 16, core::Backend::FullyFused);
-  const auto u = random_reals(2 * 8 * 64, 701u);
-  std::vector<float> on(2 * 8 * 64, 0.0f);
-  std::vector<float> off(on.size(), 0.0f);
-  fft::set_real_spectral(true);
-  conv.forward_real(u, on, 2);
-  fft::set_real_spectral(false);
-  conv.forward_real(u, off, 2);
-  EXPECT_LT(rel_err_f(on, off), 1e-4);
+TEST(RealSpectralLayers, Conv1dMatchesReference) {
+  const Spectral1dProblem p{2, 8, 8, 64, 16};
+  core::SpectralConv1d conv(p.batch, p.hidden, p.out_dim, p.n, p.modes,
+                            core::Backend::FullyFused);
+  const auto u = random_reals(p.batch * p.hidden * p.n, 701u);
+  std::vector<float> v(p.batch * p.out_dim * p.n, 0.0f);
+  conv.forward_real(u, v, p.batch);
+  const auto ref = reference_real_conv_1d(p, u, weights_of(std::as_const(conv).weights()));
+  EXPECT_LT(rel_err_f(v, ref), 1e-4);
 }
 
-TEST_F(RealSpectralKnob, Conv2dKnobOffMatchesKnobOn) {
-  core::SpectralConv2d conv(2, 6, 6, 16, 16, 8, 8, core::Backend::FullyFused);
-  const auto u = random_reals(2 * 6 * 16 * 16, 709u);
-  std::vector<float> on(u.size(), 0.0f);
-  std::vector<float> off(u.size(), 0.0f);
-  fft::set_real_spectral(true);
-  conv.forward_real(u, on, 2);
-  fft::set_real_spectral(false);
-  conv.forward_real(u, off, 2);
-  EXPECT_LT(rel_err_f(on, off), 1e-4);
+TEST(RealSpectralLayers, Conv2dMatchesReference) {
+  const Spectral2dProblem p{2, 6, 6, 16, 16, 8, 8};
+  core::SpectralConv2d conv(p.batch, p.hidden, p.out_dim, p.nx, p.ny, p.modes_x, p.modes_y,
+                            core::Backend::FullyFused);
+  const auto u = random_reals(p.batch * p.hidden * p.nx * p.ny, 709u);
+  std::vector<float> v(p.batch * p.out_dim * p.nx * p.ny, 0.0f);
+  conv.forward_real(u, v, p.batch);
+  const auto ref = reference_real_conv_2d(p, u, weights_of(std::as_const(conv).weights()));
+  EXPECT_LT(rel_err_f(v, ref), 1e-4);
 }
 
-TEST_F(RealSpectralKnob, Conv1dPerModeRealRuns) {
+TEST(RealSpectralLayers, Conv1dPerModeRealRuns) {
   core::SpectralConv1d conv(1, 6, 6, 32, 8, core::Backend::FftOpt,
                             core::WeightScheme::PerMode);
   const auto u = random_reals(6 * 32, 719u);
@@ -312,7 +298,9 @@ TEST_F(RealSpectralKnob, Conv1dPerModeRealRuns) {
   EXPECT_GT(mag, 0.0);
 }
 
-TEST_F(RealSpectralKnob, Fno1dModelAgreesAcrossKnob) {
+TEST(RealSpectralLayers, Fno1dModelMatchesOracle) {
+  // Oracle: the model's own pointwise layers around the double-precision
+  // spectral reference, layer by layer (ReLU on every layer but the last).
   core::Fno1dConfig cfg;
   cfg.hidden = 8;
   cfg.n = 64;
@@ -321,16 +309,29 @@ TEST_F(RealSpectralKnob, Fno1dModelAgreesAcrossKnob) {
   cfg.backend = core::Backend::Auto;
   core::Fno1d model(cfg);
   const auto u = random_reals(cfg.in_channels * cfg.n, 727u);
-  std::vector<float> on(cfg.out_channels * cfg.n, 0.0f);
-  std::vector<float> off(on.size(), 0.0f);
-  fft::set_real_spectral(true);
-  model.forward_real(u, on, 1);
-  fft::set_real_spectral(false);
-  model.forward_real(u, off, 1);
-  EXPECT_LT(rel_err_f(on, off), 1e-3);
+  std::vector<float> got(cfg.out_channels * cfg.n, 0.0f);
+  model.forward_real(u, got, 1);
+
+  const core::Fno1d& m = model;
+  const Spectral1dProblem layer{1, cfg.hidden, cfg.hidden, cfg.n, cfg.modes};
+  std::vector<float> h(cfg.hidden * cfg.n), res(h.size());
+  m.lift().forward_real(u, h, 1, cfg.n);
+  for (std::size_t l = 0; l < cfg.layers; ++l) {
+    const auto spec =
+        reference_real_conv_1d(layer, h, weights_of(m.spectral_layers()[l].weights()));
+    m.residual_layers()[l].forward_real(h, res, 1, cfg.n);
+    const bool last = l + 1 == cfg.layers;
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      const float s = spec[i] + res[i];
+      h[i] = last || s > 0.0f ? s : 0.0f;
+    }
+  }
+  std::vector<float> want(got.size(), 0.0f);
+  m.projection().forward_real(h, want, 1, cfg.n);
+  EXPECT_LT(rel_err_f(got, want), 1e-3);
 }
 
-TEST_F(RealSpectralKnob, SessionRunRealServes2d) {
+TEST(RealSpectralLayers, SessionRunRealServes2d) {
   core::Engine engine;
   core::Fno2dConfig cfg;
   cfg.hidden = 6;
