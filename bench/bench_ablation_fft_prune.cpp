@@ -5,7 +5,6 @@
 
 #include "bench_common.hpp"
 #include "core/workload.hpp"
-#include "fft/dif_pruned.hpp"
 #include "fft/opcount.hpp"
 #include "fft/plan.hpp"
 #include "fft/stockham.hpp"

@@ -10,10 +10,12 @@
 //                   32x32x8, Mt = Nt = 4): interleaved scalar kernel vs the
 //                   split-complex vector kernel on identical packed panels.
 //   cgemm-full      the whole blocked CGEMM at the fused FNO shape.
-//   fft-dif-block   the pruned-DIF block butterfly (the fused pipelines'
-//                   FFT inner loop).
 //   fft-radix4-q    one Stockham radix-4 pass at s = 64 (the batched FFT's
 //                   vector sweep).
+//   fft-padded      the input-pruned first pass of the fno1d zero-padded
+//                   inverse (n = 256, 64 nonzero: one leg, lane-major).
+//   fft-truncated   the output-pruned last pass of the fno1d truncated
+//                   forward (n = 256, keep 64: leg-0 sums).
 //
 // The scalar side comes from simd_scalar_ref.cpp, which is compiled with
 // AVX/FMA codegen disabled so it matches what a TURBOFNO_SIMD=scalar build
@@ -143,36 +145,6 @@ KernelResult bench_cgemm_full(std::size_t reps) {
 
 // ------------------------------------------------------------- fft kernels
 
-KernelResult bench_fft_dif_block(std::size_t reps) {
-  // The first pruned-DIF stage of the fused forward FFT at the paper's
-  // 1D shape (n = 128, 50% truncation): full block, dense prefix.
-  const std::size_t n = 128;
-  const std::size_t half = n / 2;
-  const fft::TwiddleTable& tw = fft::twiddles_for(n);
-  const std::span<const c32> w = tw.forward(n);
-
-  AlignedBuffer<c32> buf(n);
-  core::fill_random(buf.span(), 31u);
-
-  constexpr std::size_t kInner = 8192;
-  KernelResult r;
-  r.name = "fft-dif-block-128";
-  // 2 unit butterflies per j, 10 flops each under the Figure-5 convention.
-  r.flops = static_cast<double>(half) * 2.0 * 10.0 * kInner;
-
-  r.scalar_seconds = runtime::time_best_of(reps, [&] {
-    for (std::size_t it = 0; it < kInner; ++it) {
-      scalar_ref::dif_block_butterfly(buf.data(), half, n, true, w);
-    }
-  });
-  r.simd_seconds = runtime::time_best_of(reps, [&] {
-    for (std::size_t it = 0; it < kInner; ++it) {
-      fft::kernels::block_butterfly<simd::Active>(buf.data(), half, n, true, w);
-    }
-  });
-  return r;
-}
-
 KernelResult bench_fft_radix4_pass(std::size_t reps) {
   // One radix-4 Stockham pass with s = 64 contiguous butterflies per group
   // (the q-loop the batched FFT spends its time in at n = 256).
@@ -200,6 +172,70 @@ KernelResult bench_fft_radix4_pass(std::size_t reps) {
   r.simd_seconds = runtime::time_best_of(reps, [&] {
     for (std::size_t it = 0; it < kInner; ++it) {
       fft::kernels::pass_radix4<simd::Active, false>(src.data(), dst.data(), l, s, w);
+    }
+  });
+  return r;
+}
+
+KernelResult bench_fft_padded_pass(std::size_t reps) {
+  // First pass of the n = 256 inverse with 64 stored bins: radix-4 over
+  // l = 64 at s = 1, only leg 0 nonzero.
+  const std::size_t n = 256;
+  const std::size_t l = n / 4;
+  const fft::TwiddleTable& tw = fft::twiddles_for(n);
+  const std::span<const c32> w = tw.forward(n);
+
+  AlignedBuffer<c32> src(l);
+  AlignedBuffer<c32> dst(n);
+  core::fill_random(src.span(), 51u);
+
+  constexpr std::size_t kInner = 8192;
+  KernelResult r;
+  r.name = "fft-padded-pass-256";
+  // 3 twiddle multiplies per p > 0 group (6 flops each), no adds.
+  r.flops = static_cast<double>(l - 1) * 3.0 * 6.0 * kInner;
+
+  r.scalar_seconds = runtime::time_best_of(reps, [&] {
+    for (std::size_t it = 0; it < kInner; ++it) {
+      scalar_ref::radix4_padded_pass(src.data(), dst.data(), l, 1, w);
+    }
+  });
+  r.simd_seconds = runtime::time_best_of(reps, [&] {
+    for (std::size_t it = 0; it < kInner; ++it) {
+      fft::kernels::pass_padded<simd::Active, 4, false>(src.data(), dst.data(), l, 1, w, 1);
+    }
+  });
+  return r;
+}
+
+KernelResult bench_fft_truncated_pass(std::size_t reps) {
+  // Last pass of the n = 256 forward keeping 64 bins: radix-4 at s = 64,
+  // l = 1, keep == s, so only the leg-0 sums are written.
+  const std::size_t n = 256;
+  const std::size_t s = n / 4;
+  const std::size_t keep = 64;
+  const fft::TwiddleTable& tw = fft::twiddles_for(4);
+  const std::span<const c32> w = tw.forward(4);
+
+  AlignedBuffer<c32> src(n);
+  AlignedBuffer<c32> dst(keep);
+  core::fill_random(src.span(), 52u);
+
+  constexpr std::size_t kInner = 16384;
+  KernelResult r;
+  r.name = "fft-truncated-pass-256";
+  // 3 complex adds per kept bin (2 flops each).
+  r.flops = static_cast<double>(keep) * 3.0 * 2.0 * kInner;
+
+  r.scalar_seconds = runtime::time_best_of(reps, [&] {
+    for (std::size_t it = 0; it < kInner; ++it) {
+      scalar_ref::radix4_truncated_last_pass(src.data(), dst.data(), s, keep);
+    }
+  });
+  r.simd_seconds = runtime::time_best_of(reps, [&] {
+    for (std::size_t it = 0; it < kInner; ++it) {
+      fft::kernels::pass_truncated<simd::Active, 4, false>(src.data(), dst.data(), 1, s, w, keep,
+                                                           4);
     }
   });
   return r;
@@ -244,8 +280,9 @@ int main(int argc, char** argv) {
   std::vector<KernelResult> rows;
   rows.push_back(bench_cgemm_micro(reps));
   rows.push_back(bench_cgemm_full(reps));
-  rows.push_back(bench_fft_dif_block(reps));
   rows.push_back(bench_fft_radix4_pass(reps));
+  rows.push_back(bench_fft_padded_pass(reps));
+  rows.push_back(bench_fft_truncated_pass(reps));
 
   std::printf("%-24s %12s %12s %10s %10s %8s\n", "kernel", "scalar(us)", "simd(us)",
               "sc GF/s", "simd GF/s", "speedup");

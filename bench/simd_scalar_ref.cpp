@@ -110,42 +110,6 @@ void cgemm_fused_tiles(std::size_t M, std::size_t N, std::size_t K, c32 alpha, c
   }
 }
 
-std::uint64_t dif_block_butterfly(c32* x, std::size_t half, std::size_t z, bool need_odd,
-                                  std::span<const c32> w) {
-  std::uint64_t ops = 0;
-  const std::size_t full_end = z > half ? z - half : 0;
-  const std::size_t copy_end = std::min(z, half);
-
-  if (need_odd) {
-    std::size_t j = 0;
-    if (full_end > 0) {
-      const c32 a = x[0];
-      const c32 b = x[half];
-      x[0] = a + b;
-      x[half] = a - b;
-      ops += 2;
-      j = 1;
-    }
-    for (; j < full_end; ++j) {
-      const c32 a = x[j];
-      const c32 b = x[j + half];
-      x[j] = a + b;
-      x[j + half] = (a - b) * w[j];
-      ops += 2;
-    }
-    for (j = full_end; j < copy_end; ++j) {
-      x[j + half] = x[j] * w[j];
-      ops += 1;
-    }
-  } else {
-    for (std::size_t j = 0; j < full_end; ++j) {
-      x[j] = x[j] + x[j + half];
-      ops += 1;
-    }
-  }
-  return ops;
-}
-
 void radix4_pass(const c32* src, c32* dst, std::size_t l, std::size_t s,
                  std::span<const c32> w) {
   const std::size_t half = 2 * l;
@@ -194,6 +158,40 @@ void radix4_pass(const c32* src, c32* dst, std::size_t l, std::size_t s,
       d2[q] = (t0 - t2) * w2;
       d3[q] = (t1 - t3) * w3;
     }
+  }
+}
+
+void radix4_padded_pass(const c32* src, c32* dst, std::size_t l, std::size_t s,
+                        std::span<const c32> w) {
+  const std::size_t half = 2 * l;
+  auto tw_at = [&](std::size_t j) -> c32 { return j < half ? w[j] : -w[j - half]; };
+
+  for (std::size_t p = 0; p < l; ++p) {
+    const c32 w1 = tw_at(p);
+    const c32 w2 = tw_at(2 * p);
+    const c32 w3 = tw_at(3 * p);
+    const c32* s0 = src + s * p;
+    c32* d0 = dst + s * 4 * p;
+    c32* d1 = d0 + s;
+    c32* d2 = d1 + s;
+    c32* d3 = d2 + s;
+    for (std::size_t q = 0; q < s; ++q) {
+      const c32 a = s0[q];
+      d0[q] = a;
+      d1[q] = p == 0 ? a : a * w1;
+      d2[q] = p == 0 ? a : a * w2;
+      d3[q] = p == 0 ? a : a * w3;
+    }
+  }
+}
+
+void radix4_truncated_last_pass(const c32* src, c32* dst, std::size_t s, std::size_t keep) {
+  const c32* s0 = src;
+  const c32* s1 = src + s;
+  const c32* s2 = src + 2 * s;
+  const c32* s3 = src + 3 * s;
+  for (std::size_t q = 0; q < keep; ++q) {
+    dst[q] = (s0[q] + s2[q]) + (s1[q] + s3[q]);
   }
 }
 

@@ -1,27 +1,28 @@
 // Backend-templated FFT butterfly kernels.
 //
-// The Stockham radix-2/radix-4 passes and the pruned-DIF block butterfly
-// live here, parameterized on a simd backend (tensor/simd.hpp), so:
-//   - stockham.cpp / dif_pruned.cpp instantiate them with simd::Active,
+// The Stockham radix-2/radix-4 passes and their two pruned forms (the
+// input-pruned pass of a zero-padded inverse, the output-pruned pass of a
+// truncated forward) live here, parameterized on a simd backend
+// (tensor/simd.hpp).  All of them are one butterfly body (detail::butterfly)
+// told which legs are zero and which outputs are wanted, so:
+//   - stockham.cpp / plan.cpp instantiate them with simd::Active,
 //   - the SIMD micro bench and parity tests can instantiate the scalar and
 //     AVX2 backends side by side in one binary.
 //
 // Vectorization strategy: every kernel's innermost loop runs over a
-// contiguous run of butterflies (the q-loop over `s` adjacent outputs in
-// Stockham, the j-loop over a block prefix in the pruned DIF) using the
-// backend's *packed* complex vectors (B::pvec, AoS order): butterflies are
-// add/sub dominated, which packed lanes do shuffle-free, and the twiddle
-// multiply is a single fmaddsub sequence.  Sub-lane passes (s < B::planes,
-// i.e. the early stages of every transform) are transposed to lane-major
-// form: each vector carries the same butterfly leg of several consecutive p
-// groups and the outputs are shuffled back with the backend's zip/4x4
-// transpose primitives, so they run packed instead of on the scalar tail.
-// Remaining short runs fall through to the scalar tail, which is
+// contiguous run of butterflies (the q-loop over `s` adjacent outputs)
+// using the backend's *packed* complex vectors (B::pvec, AoS order):
+// butterflies are add/sub dominated, which packed lanes do shuffle-free, and
+// the twiddle multiply is a single fmaddsub sequence.  Sub-lane passes
+// (s < B::planes, i.e. the early stages of every transform) are transposed
+// to lane-major form: each vector carries the same butterfly leg of several
+// consecutive p groups and the outputs are shuffled back with the backend's
+// zip/4x4 transpose primitives, so they run packed instead of on the scalar
+// tail.  Remaining short runs fall through to the scalar tail, which is
 // bit-identical to the seed's scalar code.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 #include "tensor/complex.hpp"
@@ -29,12 +30,181 @@
 
 namespace turbofno::fft::kernels {
 
+namespace detail {
+
+/// The radix-R butterfly before its twiddles, with legs j >= Legs known zero
+/// and only outputs k < NK wanted: y[k] is the dense pass_radix2/4 value,
+/// zero operands dropped.  `O` is a simd backend; the scalar tails run it as
+/// simd::ScalarBackend, whose packed ops are plain c32 arithmetic.
+template <class O, std::size_t R, bool Inverse, std::size_t Legs, std::size_t NK>
+inline void butterfly(const typename O::pvec (&x)[R], typename O::pvec (&y)[R]) {
+  using P = typename O::pvec;
+  static_assert(Legs >= 1 && Legs <= R && NK >= 1 && NK <= R);
+  if constexpr (Legs == 1) {
+    for (std::size_t k = 0; k < NK; ++k) y[k] = x[0];
+  } else if constexpr (R == 2) {
+    y[0] = O::padd(x[0], x[1]);
+    if constexpr (NK > 1) y[1] = O::psub(x[0], x[1]);
+  } else {
+    P t0 = x[0], t1 = x[0], t2 = x[1], d13 = x[1];
+    if constexpr (Legs > 2) {
+      t0 = O::padd(x[0], x[2]);
+      t1 = O::psub(x[0], x[2]);
+    }
+    if constexpr (Legs > 3) {
+      t2 = O::padd(x[1], x[3]);
+      d13 = O::psub(x[1], x[3]);
+    }
+    const P t3 = Inverse ? O::pmul_pos_i(d13) : O::pmul_neg_i(d13);
+    y[0] = O::padd(t0, t2);
+    if constexpr (NK > 1) y[1] = O::padd(t1, t3);
+    if constexpr (NK > 2) y[2] = O::psub(t0, t2);
+    if constexpr (NK > 3) y[3] = O::psub(t1, t3);
+  }
+}
+
+/// Twiddle W^j of a radix-R pass from the half-circle table `w` (length
+/// R*l / 2), folding W(j + L/2) = -W(j) as pass_radix4 does.
+template <std::size_t R>
+inline c32 pass_twiddle(std::span<const c32> w, std::size_t l, std::size_t j) {
+  const std::size_t half = R / 2 * l;
+  return j < half ? w[j] : -w[j - half];
+}
+
+/// One butterfly group p of a q-run pass: for q in [q0, q1), writes outputs
+/// k < NK of the butterfly over legs j < Legs, times twiddle W^{kp} when
+/// Twiddled (p > 0) and times `scale` when Scaled.  Everything arrives by
+/// value: the packed stores may alias any float, so state read through a
+/// reference would be reloaded after every store.
+template <class B, std::size_t R, bool Inverse, std::size_t Legs, std::size_t NK, bool Twiddled,
+          bool Scaled>
+inline void group_run(const c32* sp, c32* dp, std::size_t l, std::size_t s,
+                      std::span<const c32> w, std::size_t p, std::size_t q0, std::size_t q1,
+                      float scale) {
+  using P = typename B::pvec;
+  using S = simd::ScalarBackend;
+  c32 wk[R] = {};
+  P wv[R] = {};
+  if constexpr (Twiddled) {
+    for (std::size_t k = 1; k < NK; ++k) {
+      wk[k] = pass_twiddle<R>(w, l, k * p);
+      wv[k] = B::pset1(wk[k]);
+    }
+  }
+  std::size_t q = q0;
+  for (; q + B::planes <= q1; q += B::planes) {
+    P x[R], y[R];
+    for (std::size_t j = 0; j < Legs; ++j) x[j] = B::pload(sp + s * j * l + q);
+    butterfly<B, R, Inverse, Legs, NK>(x, y);
+    for (std::size_t k = 0; k < NK; ++k) {
+      if constexpr (Twiddled) {
+        if (k > 0) y[k] = B::pcmul(y[k], wv[k]);
+      }
+      if constexpr (Scaled) y[k] = B::pscale(y[k], scale);
+      B::pstore(dp + s * k + q, y[k]);
+    }
+  }
+  for (; q < q1; ++q) {
+    c32 x[R], y[R];
+    for (std::size_t j = 0; j < Legs; ++j) x[j] = sp[s * j * l + q];
+    butterfly<S, R, Inverse, Legs, NK>(x, y);
+    for (std::size_t k = 0; k < NK; ++k) {
+      if constexpr (Twiddled) {
+        if (k > 0) y[k] = y[k] * wk[k];
+      }
+      if constexpr (Scaled) y[k] = y[k] * scale;
+      dp[s * k + q] = y[k];
+    }
+  }
+}
+
+/// The q-run form of every pass outside the lane-major (s < planes) forms:
+/// every group p in [0, l) over q in [q0, q1) (group_run).  The q-run goes in
+/// packed vectors from q0 with a scalar tail; the p == 0 group (all
+/// twiddles 1) carries no multiply.
+template <class B, std::size_t R, bool Inverse, std::size_t Legs, std::size_t NK, bool Scaled>
+void run_groups_as(const c32* src, c32* dst, std::size_t l, std::size_t s,
+                      std::span<const c32> w, std::size_t q0, std::size_t q1, float scale) {
+  if (l == 0) return;
+  group_run<B, R, Inverse, Legs, NK, false, Scaled>(src, dst, l, s, w, 0, q0, q1, scale);
+  for (std::size_t p = 1; p < l; ++p) {
+    group_run<B, R, Inverse, Legs, NK, true, Scaled>(src + s * p, dst + s * R * p, l, s, w, p,
+                                                     q0, q1, scale);
+  }
+}
+
+template <class B, std::size_t R, bool Inverse, std::size_t Legs, std::size_t NK>
+void run_groups(const c32* src, c32* dst, std::size_t l, std::size_t s,
+                   std::span<const c32> w, std::size_t q0, std::size_t q1, float scale) {
+  if (scale != 1.0f) {
+    run_groups_as<B, R, Inverse, Legs, NK, true>(src, dst, l, s, w, q0, q1, scale);
+  } else {
+    run_groups_as<B, R, Inverse, Legs, NK, false>(src, dst, l, s, w, q0, q1, scale);
+  }
+}
+
+/// The lane-major form of a radix-4 pass at s == 1 (the first pass of every
+/// radix-4 schedule, which would otherwise run entirely on the scalar tail):
+/// one vector holds the same butterfly leg for four consecutive p, the
+/// twiddles (table-exact, including the 1-values of the p == 0 group) are
+/// gathered per leg, and an in-register 4x4 transpose turns the four result
+/// legs back into the four interleaved per-p output quartets.  Legs j >=
+/// Legs are zero and never read.
+template <class B, bool Inverse, std::size_t Legs>
+void radix4_lane_major(const c32* src, c32* dst, std::size_t l, std::span<const c32> w) {
+  using P = typename B::pvec;
+  using S = simd::ScalarBackend;
+  auto tw = [&](std::size_t j) { return pass_twiddle<4>(w, l, j); };
+  std::size_t p = 0;
+  for (; p + 4 <= l; p += 4) {
+    P x[4], y[4];
+    for (std::size_t j = 0; j < Legs; ++j) x[j] = B::pload(src + p + j * l);
+    butterfly<B, 4, Inverse, Legs, 4>(x, y);
+    y[1] = B::pcmul(y[1], B::pload(w.data() + p));
+    y[2] = B::pcmul(y[2], B::pset4(tw(2 * p), tw(2 * p + 2), tw(2 * p + 4), tw(2 * p + 6)));
+    y[3] = B::pcmul(y[3], B::pset4(tw(3 * p), tw(3 * p + 3), tw(3 * p + 6), tw(3 * p + 9)));
+    B::ptranspose4(y[0], y[1], y[2], y[3]);
+    for (std::size_t k = 0; k < 4; ++k) B::pstore(dst + 4 * p + 4 * k, y[k]);
+  }
+  for (; p < l; ++p) {
+    c32 x[4], y[4];
+    for (std::size_t j = 0; j < Legs; ++j) x[j] = src[p + j * l];
+    butterfly<S, 4, Inverse, Legs, 4>(x, y);
+    dst[4 * p] = y[0];
+    for (std::size_t k = 1; k < 4; ++k) dst[4 * p + k] = y[k] * tw(k * p);
+  }
+}
+
+/// Calls f.template operator()<Legs, NK>() with the runtime counts lifted to
+/// template arguments (1 <= legs, nk <= R).
+template <std::size_t R, std::size_t Legs, class F>
+void with_nk(std::size_t nk, F& f) {
+  switch (nk) {
+    case 1: f.template operator()<Legs, 1>(); break;
+    case 2: f.template operator()<Legs, 2>(); break;
+    case 3: if constexpr (R == 4) f.template operator()<Legs, 3>(); break;
+    default: f.template operator()<Legs, R>(); break;
+  }
+}
+
+template <std::size_t R, class F>
+void with_legs_nk(std::size_t legs, std::size_t nk, F&& f) {
+  switch (legs) {
+    case 1: with_nk<R, 1>(nk, f); break;
+    case 2: with_nk<R, 2>(nk, f); break;
+    case 3: if constexpr (R == 4) with_nk<R, 3>(nk, f); break;
+    default: with_nk<R, R>(nk, f); break;
+  }
+}
+
+}  // namespace detail
+
 /// One DIF-Stockham radix-2 pass: combines pairs (p, p+l) with stride s into
 /// an interleaved output.  Data flows src -> dst; after all passes the
 /// result is in natural order.  `w` = twiddles for sub-transform length 2l.
 ///
-/// The j == 0 twiddle is 1 + 0i; the p == 0 iteration is peeled so the
-/// common case avoids a complex multiply.
+/// The j == 0 twiddle is 1 + 0i, so the p == 0 group carries no complex
+/// multiply.
 template <class B, bool Inverse>
 void pass_radix2(const c32* src, c32* dst, std::size_t l, std::size_t s,
                  std::span<const c32> w) {
@@ -91,46 +261,7 @@ void pass_radix2(const c32* src, c32* dst, std::size_t l, std::size_t s,
       return;
     }
   }
-  {
-    const c32* sa = src;
-    const c32* sb = src + s * l;
-    c32* d0 = dst;
-    c32* d1 = dst + s;
-    std::size_t q = 0;
-    for (; q + B::planes <= s; q += B::planes) {
-      const P a = B::pload(sa + q);
-      const P b = B::pload(sb + q);
-      B::pstore(d0 + q, B::padd(a, b));
-      B::pstore(d1 + q, B::psub(a, b));
-    }
-    for (; q < s; ++q) {
-      const c32 a = sa[q];
-      const c32 b = sb[q];
-      d0[q] = a + b;
-      d1[q] = a - b;
-    }
-  }
-  for (std::size_t p = 1; p < l; ++p) {
-    const c32 wp = w[p];
-    const P wv = B::pset1(wp);
-    const c32* sa = src + s * p;
-    const c32* sb = src + s * (p + l);
-    c32* d0 = dst + s * 2 * p;
-    c32* d1 = d0 + s;
-    std::size_t q = 0;
-    for (; q + B::planes <= s; q += B::planes) {
-      const P a = B::pload(sa + q);
-      const P b = B::pload(sb + q);
-      B::pstore(d0 + q, B::padd(a, b));
-      B::pstore(d1 + q, B::pcmul(B::psub(a, b), wv));
-    }
-    for (; q < s; ++q) {
-      const c32 a = sa[q];
-      const c32 b = sb[q];
-      d0[q] = a + b;
-      d1[q] = (a - b) * wp;
-    }
-  }
+  detail::run_groups<B, 2, Inverse, 2, 2>(src, dst, l, s, w, 0, s, 1.0f);
 }
 
 /// One DIF-Stockham radix-4 pass over a current sub-transform length L = 4*l:
@@ -139,213 +270,85 @@ void pass_radix2(const c32* src, c32* dst, std::size_t l, std::size_t s,
 /// `w` = twiddles for length L (first half of the circle; 2p/3p fold with
 /// W(j + L/2) = -W(j)).
 ///
-/// The p == 0 iteration (w1 = w2 = w3 = 1) is peeled out of the loop, so the
-/// most common butterfly group pays no twiddle multiplies and the main loop
-/// carries no per-iteration branch.
+/// The p == 0 group (w1 = w2 = w3 = 1) pays no twiddle multiplies.
 template <class B, bool Inverse>
 void pass_radix4(const c32* src, c32* dst, std::size_t l, std::size_t s,
                  std::span<const c32> w) {
-  using P = typename B::pvec;
-  const std::size_t half = 2 * l;  // = L / 2
-
-  auto tw_at = [&](std::size_t j) -> c32 { return j < half ? w[j] : -w[j - half]; };
-  auto quarter = [](P v) { return Inverse ? B::pmul_pos_i(v) : B::pmul_neg_i(v); };
-
   if constexpr (B::planes == 4) {
-    // s == 1 is the first pass of every mixed-radix transform and used to run
-    // entirely on the scalar tail.  Lane-major form: one vector holds the
-    // same butterfly leg for four consecutive p, the twiddles (table-exact,
-    // including the 1-values of the p == 0 group) are gathered per leg, and
-    // an in-register 4x4 transpose turns the four result legs back into the
-    // four interleaved per-p output quartets.
+    // s == 2 never occurs in the mixed-radix schedule (s multiplies by 4
+    // between radix-4 passes) — the generic path covers it if a future
+    // driver produces one.
     if (s == 1 && l >= 4) {
-      std::size_t p = 0;
-      for (; p + 4 <= l; p += 4) {
-        const P x0 = B::pload(src + p);
-        const P x1 = B::pload(src + p + l);
-        const P x2 = B::pload(src + p + 2 * l);
-        const P x3 = B::pload(src + p + 3 * l);
-        const P t0 = B::padd(x0, x2);
-        const P t1 = B::psub(x0, x2);
-        const P t2 = B::padd(x1, x3);
-        const P t3 = quarter(B::psub(x1, x3));
-        P r0 = B::padd(t0, t2);
-        P r1 = B::pcmul(B::padd(t1, t3), B::pload(w.data() + p));
-        P r2 = B::pcmul(B::psub(t0, t2), B::pset4(tw_at(2 * p), tw_at(2 * p + 2),
-                                                  tw_at(2 * p + 4), tw_at(2 * p + 6)));
-        P r3 = B::pcmul(B::psub(t1, t3), B::pset4(tw_at(3 * p), tw_at(3 * p + 3),
-                                                  tw_at(3 * p + 6), tw_at(3 * p + 9)));
-        B::ptranspose4(r0, r1, r2, r3);
-        B::pstore(dst + 4 * p, r0);
-        B::pstore(dst + 4 * p + 4, r1);
-        B::pstore(dst + 4 * p + 8, r2);
-        B::pstore(dst + 4 * p + 12, r3);
-      }
-      for (; p < l; ++p) {
-        const c32 a = src[p];
-        const c32 b = src[p + l];
-        const c32 c = src[p + 2 * l];
-        const c32 d = src[p + 3 * l];
-        const c32 t0 = a + c;
-        const c32 t1 = a - c;
-        const c32 t2 = b + d;
-        const c32 t3 = Inverse ? mul_pos_i(b - d) : mul_neg_i(b - d);
-        dst[4 * p] = t0 + t2;
-        dst[4 * p + 1] = (t1 + t3) * tw_at(p);
-        dst[4 * p + 2] = (t0 - t2) * tw_at(2 * p);
-        dst[4 * p + 3] = (t1 - t3) * tw_at(3 * p);
-      }
+      detail::radix4_lane_major<B, Inverse, 4>(src, dst, l, w);
       return;
     }
-    // s == 2 never occurs in the mixed-radix schedule (s multiplies by 4
-    // between radix-4 passes) — the generic path below covers it if a
-    // future driver produces one.
   }
-
-  {
-    // p == 0: all twiddles are 1, pure butterfly.
-    const c32* s0 = src;
-    const c32* s1 = src + s * l;
-    const c32* s2 = src + s * 2 * l;
-    const c32* s3 = src + s * 3 * l;
-    c32* d0 = dst;
-    c32* d1 = d0 + s;
-    c32* d2 = d1 + s;
-    c32* d3 = d2 + s;
-    std::size_t q = 0;
-    for (; q + B::planes <= s; q += B::planes) {
-      const P t0 = B::padd(B::pload(s0 + q), B::pload(s2 + q));
-      const P t1 = B::psub(B::pload(s0 + q), B::pload(s2 + q));
-      const P t2 = B::padd(B::pload(s1 + q), B::pload(s3 + q));
-      const P t3 = quarter(B::psub(B::pload(s1 + q), B::pload(s3 + q)));
-      B::pstore(d0 + q, B::padd(t0, t2));
-      B::pstore(d1 + q, B::padd(t1, t3));
-      B::pstore(d2 + q, B::psub(t0, t2));
-      B::pstore(d3 + q, B::psub(t1, t3));
-    }
-    for (; q < s; ++q) {
-      const c32 a = s0[q];
-      const c32 b = s1[q];
-      const c32 c = s2[q];
-      const c32 d = s3[q];
-      const c32 t0 = a + c;
-      const c32 t1 = a - c;
-      const c32 t2 = b + d;
-      const c32 t3 = Inverse ? mul_pos_i(b - d) : mul_neg_i(b - d);
-      d0[q] = t0 + t2;
-      d1[q] = t1 + t3;
-      d2[q] = t0 - t2;
-      d3[q] = t1 - t3;
-    }
-  }
-
-  for (std::size_t p = 1; p < l; ++p) {
-    const c32 w1 = tw_at(p);
-    const c32 w2 = tw_at(2 * p);
-    const c32 w3 = tw_at(3 * p);
-    const P w1v = B::pset1(w1);
-    const P w2v = B::pset1(w2);
-    const P w3v = B::pset1(w3);
-    const c32* s0 = src + s * p;
-    const c32* s1 = src + s * (p + l);
-    const c32* s2 = src + s * (p + 2 * l);
-    const c32* s3 = src + s * (p + 3 * l);
-    c32* d0 = dst + s * 4 * p;
-    c32* d1 = d0 + s;
-    c32* d2 = d1 + s;
-    c32* d3 = d2 + s;
-    std::size_t q = 0;
-    for (; q + B::planes <= s; q += B::planes) {
-      const P t0 = B::padd(B::pload(s0 + q), B::pload(s2 + q));
-      const P t1 = B::psub(B::pload(s0 + q), B::pload(s2 + q));
-      const P t2 = B::padd(B::pload(s1 + q), B::pload(s3 + q));
-      const P t3 = quarter(B::psub(B::pload(s1 + q), B::pload(s3 + q)));
-      B::pstore(d0 + q, B::padd(t0, t2));
-      B::pstore(d1 + q, B::pcmul(B::padd(t1, t3), w1v));
-      B::pstore(d2 + q, B::pcmul(B::psub(t0, t2), w2v));
-      B::pstore(d3 + q, B::pcmul(B::psub(t1, t3), w3v));
-    }
-    for (; q < s; ++q) {
-      const c32 a = s0[q];
-      const c32 b = s1[q];
-      const c32 c = s2[q];
-      const c32 d = s3[q];
-      const c32 t0 = a + c;
-      const c32 t1 = a - c;
-      const c32 t2 = b + d;
-      const c32 t3 = Inverse ? mul_pos_i(b - d) : mul_neg_i(b - d);
-      d0[q] = t0 + t2;
-      d1[q] = (t1 + t3) * w1;
-      d2[q] = (t0 - t2) * w2;
-      d3[q] = (t1 - t3) * w3;
-    }
-  }
+  detail::run_groups<B, 4, Inverse, 4, 4>(src, dst, l, s, w, 0, s, 1.0f);
 }
 
-/// One pruned-DIF block butterfly with both prunings (see dif_pruned.cpp for
-/// the derivation):
-///
-///   x[0 .. half)        -> even-bin half (sums)
-///   x[half .. 2*half)   -> odd-bin half (diffs * twiddle)
-///
-/// `z` is the nonzero prefix of this block (uniform across blocks of a
-/// stage).  `need_odd == false` skips every diff; the even half is then
-/// written only where the sum differs from a plain copy.  All three loops
-/// run over contiguous j with contiguous twiddles, so each is a straight
-/// packed-vector sweep.  Returns the unit-op count (identical to the scalar
-/// accounting).
-template <class B>
-inline std::uint64_t block_butterfly(c32* x, std::size_t half, std::size_t z, bool need_odd,
-                                     std::span<const c32> w) {
-  using P = typename B::pvec;
-  const std::size_t full_end = z > half ? z - half : 0;  // both inputs nonzero
-  const std::size_t copy_end = z < half ? z : half;      // upper input zero
+// ------------------------------------------------------------ pruned passes
+//
+// A pruned transform runs the same schedule as a dense one; truncation and
+// zero padding only shrink what a pass reads or writes (the dense passes
+// above are the same bodies with every leg read and every output written):
+//
+//   pass_padded     input-pruned: the legs j >= `legs` of every butterfly are
+//                   known zero (the zero-padded tail of an inverse) and are
+//                   never read.
+//   pass_truncated  output-pruned: only the outputs (q, k) with q + s*k <
+//                   keep are written (the bins a truncated forward keeps).
+//
+// Each operation they execute is the dense pass's operation with its zero
+// operands dropped (x + 0 == x) and each output they write is one the dense
+// pass writes, computed on the same packed-vector or scalar path, so a
+// pruned schedule reproduces the dense one bin for bin under operator==.
 
-  if (need_odd) {
-    // j == 0 (twiddle == 1) peeled off the full region.
-    std::size_t j = 0;
-    if (full_end > 0) {
-      const c32 a = x[0];
-      const c32 b = x[half];
-      x[0] = a + b;
-      x[half] = a - b;
-      j = 1;
+/// Input-pruned radix-R pass (R = 2 or 4): pass_radix2/4 with legs j >=
+/// `legs` of every butterfly known to be zero, so only the first legs*l*s
+/// elements of `src` are read; every output is written.  With one leg the
+/// butterfly is x * W^{kp}.  The first pass of a radix-4 schedule (s == 1)
+/// keeps the lane-major ptranspose4 form of pass_radix4; the radix-2 form
+/// covers the schedule's radix-2 pass, which is always its last (l == 1).
+template <class B, std::size_t R, bool Inverse>
+void pass_padded(const c32* src, c32* dst, std::size_t l, std::size_t s,
+                 std::span<const c32> w, std::size_t legs) {
+  detail::with_legs_nk<R>(legs, R, [&]<std::size_t Legs, std::size_t NK>() {
+    if constexpr (R == 4 && B::planes == 4) {
+      if (s == 1 && l >= 4) {
+        detail::radix4_lane_major<B, Inverse, Legs>(src, dst, l, w);
+        return;
+      }
     }
-    for (; j + B::planes <= full_end; j += B::planes) {
-      const P a = B::pload(x + j);
-      const P b = B::pload(x + j + half);
-      B::pstore(x + j, B::padd(a, b));
-      B::pstore(x + j + half, B::pcmul(B::psub(a, b), B::pload(w.data() + j)));
-    }
-    for (; j < full_end; ++j) {
-      const c32 a = x[j];
-      const c32 b = x[j + half];
-      x[j] = a + b;
-      x[j + half] = (a - b) * w[j];
-    }
-    // b == 0: even output is already a (in place), odd is a twiddle scale.
-    j = full_end;
-    for (; j + B::planes <= copy_end; j += B::planes) {
-      B::pstore(x + j + half, B::pcmul(B::pload(x + j), B::pload(w.data() + j)));
-    }
-    for (; j < copy_end; ++j) {
-      x[j + half] = x[j] * w[j];
-    }
-    // j in [copy_end, half): both inputs zero; outputs remain zero.
-    return 2 * static_cast<std::uint64_t>(full_end) +
-           static_cast<std::uint64_t>(copy_end - full_end);
-  }
+    detail::run_groups<B, R, Inverse, Legs, NK>(src, dst, l, s, w, 0, s, 1.0f);
+  });
+}
 
-  // Odd subtree pruned: only sums are needed, and only where b != 0.
-  std::size_t j = 0;
-  for (; j + B::planes <= full_end; j += B::planes) {
-    B::pstore(x + j, B::padd(B::pload(x + j), B::pload(x + j + half)));
+/// Output-pruned radix-R pass (R = 2 or 4): pass_radix2/4 writing only the
+/// outputs (q, k) with q + s*k < keep (keep <= R*s), over butterflies whose
+/// legs j >= `legs` are zero (legs == R when the input is dense), each
+/// output times `scale` (the 1/n of a scaled inverse's last pass; the
+/// product is the one a separate scaling pass would round).  With keep =
+/// a*s + b, the q in [0, b) need outputs k <= a and the q in [b, s) outputs
+/// k < a; keep <= s leaves only leg 0, a pure sum.  The schedule calls it
+/// with s >= 4 or l == 1 (the last pass, whose single group has no
+/// twiddles), and with b a multiple of 4 unless l == 1, so every output it
+/// writes takes the dense pass's packed or scalar path.
+template <class B, std::size_t R, bool Inverse>
+void pass_truncated(const c32* src, c32* dst, std::size_t l, std::size_t s,
+                    std::span<const c32> w, std::size_t keep, std::size_t legs,
+                    float scale = 1.0f) {
+  const std::size_t a = keep / s;
+  const std::size_t b = keep % s;
+  if (b > 0) {
+    detail::with_legs_nk<R>(legs, a + 1, [&]<std::size_t Legs, std::size_t NK>() {
+      detail::run_groups<B, R, Inverse, Legs, NK>(src, dst, l, s, w, 0, b, scale);
+    });
   }
-  for (; j < full_end; ++j) {
-    x[j] = x[j] + x[j + half];
+  if (a > 0) {
+    detail::with_legs_nk<R>(legs, a, [&]<std::size_t Legs, std::size_t NK>() {
+      detail::run_groups<B, R, Inverse, Legs, NK>(src, dst, l, s, w, b, s, scale);
+    });
   }
-  // b == 0 region: x[j] already holds the sum.
-  return full_end;
 }
 
 }  // namespace turbofno::fft::kernels

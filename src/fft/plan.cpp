@@ -4,14 +4,90 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "fft/dif_pruned.hpp"
+#include "fft/kernels.hpp"
 #include "fft/opcount.hpp"
 #include "fft/stockham.hpp"
 #include "fft/twiddle.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/scratch.hpp"
+#include "tensor/simd.hpp"
 
 namespace turbofno::fft {
+
+namespace {
+
+using Backend = simd::Active;
+static_assert(kKeepQuantum % Backend::planes == 0,
+              "pruned q-runs must start on the dense pass's vector boundaries");
+
+// The last pass always runs the output-pruned kernel (keep == n writes every
+// output), which also applies the inverse's 1/n scale as it stores.
+template <std::size_t R, bool Inverse>
+void run_pass(const StockhamPass& ps, const c32* src, c32* dst, std::span<const c32> w,
+              float scale) {
+  if (ps.truncated() || ps.last()) {
+    kernels::pass_truncated<Backend, R, Inverse>(src, dst, ps.l, ps.s, w, ps.keep, ps.legs,
+                                                 ps.last() ? scale : 1.0f);
+  } else if (ps.padded()) {
+    kernels::pass_padded<Backend, R, Inverse>(src, dst, ps.l, ps.s, w, ps.legs);
+  } else if constexpr (R == 4) {
+    kernels::pass_radix4<Backend, Inverse>(src, dst, ps.l, ps.s, w);
+  } else {
+    kernels::pass_radix2<Backend, Inverse>(src, dst, ps.l, ps.s, w);
+  }
+}
+
+// One signal through the pruned schedule.  The passes ping-pong between the
+// two halves of `work`; the first reads the caller's prefix in place when it
+// is contiguous and covers every leg the pass reads, the last writes the
+// keep bins straight to a contiguous `out`.
+template <bool Inverse>
+void run_schedule(const PlanDesc& d, const TwiddleTable& tw, const c32* in,
+                  std::ptrdiff_t in_stride, c32* out, std::ptrdiff_t out_stride,
+                  std::span<c32> work) {
+  const std::size_t n = d.n;
+  const std::size_t keep = d.keep_or_n();
+  const std::size_t nonzero = d.nonzero_or_n();
+  c32* const w0 = work.data();
+  c32* const w1 = work.data() + n;
+  const float scale = Inverse && d.scale_inverse ? 1.0f / static_cast<float>(n) : 1.0f;
+
+  const c32* src = in;
+  bool first = true;
+  for_each_pass(n, keep, nonzero, [&](const StockhamPass& ps) {
+    if (first) {
+      first = false;
+      // Legs j < ps.legs span [0, legs*l); past `nonzero` that is the zero
+      // part of the last leg read, never the rest of the zero tail.
+      const std::size_t span = ps.legs * ps.l;
+      if (in_stride != 1 || span > nonzero) {
+        for (std::size_t j = 0; j < nonzero; ++j) {
+          w0[j] = in[static_cast<std::ptrdiff_t>(j) * in_stride];
+        }
+        std::fill(w0 + nonzero, w0 + span, c32{});
+        src = w0;
+      }
+    }
+    c32* dst = src == w0 ? w1 : w0;
+    if (ps.last() && out_stride == 1) dst = out;
+    const std::size_t len = ps.radix * ps.l;
+    const std::span<const c32> w = Inverse ? tw.inverse(len) : tw.forward(len);
+    if (ps.radix == 4) {
+      run_pass<4, Inverse>(ps, src, dst, w, scale);
+    } else {
+      run_pass<2, Inverse>(ps, src, dst, w, scale);
+    }
+    src = dst;
+  });
+
+  if (out_stride != 1) {
+    for (std::size_t k = 0; k < keep; ++k) {
+      out[static_cast<std::ptrdiff_t>(k) * out_stride] = src[k];
+    }
+  }
+}
+
+}  // namespace
 
 FftPlan::FftPlan(PlanDesc desc) : desc_(desc) {
   if (!is_pow2(desc_.n)) throw std::invalid_argument("FftPlan: n must be a power of two >= 2");
@@ -20,12 +96,10 @@ FftPlan::FftPlan(PlanDesc desc) : desc_(desc) {
   const std::size_t m = desc_.keep_or_n();
   const std::size_t p = desc_.nonzero_or_n();
   pruned_ = (m != desc_.n) || (p != desc_.n);
-  const OpCount oc = count_pruned_ops(desc_.n, m, p);
-  unit_ops_ = oc.unit_ops;
-  flops_ = oc.flops();
-  // Pre-build the twiddle table so execution never takes the cache lock on a
-  // cold path inside a parallel region.
-  (void)twiddles_for(desc_.n);
+  unit_ops_ = count_pruned_ops(desc_.n, m, p).unit_ops;
+  flops_ = count_stockham_ops(desc_.n, m, p).flops();
+  // Resolve the twiddle table once so execution never takes the cache lock.
+  tw_ = &twiddles_for(desc_.n);
 }
 
 std::uint64_t FftPlan::bytes_read_per_signal() const noexcept {
@@ -38,50 +112,11 @@ std::uint64_t FftPlan::bytes_written_per_signal() const noexcept {
 
 void FftPlan::execute_one(const c32* in, std::ptrdiff_t in_elem_stride, c32* out,
                           std::ptrdiff_t out_elem_stride, std::span<c32> work) const {
-  const std::size_t n = desc_.n;
-  const std::size_t m = desc_.keep_or_n();
-  const std::size_t p = desc_.nonzero_or_n();
-  const bool inverse = desc_.dir == Direction::Inverse;
-  assert(work.size() >= 2 * n);
-
-  c32* buf = work.data();
-  // Gather the stored prefix; the tail is implicit zeros.
-  if (in_elem_stride == 1) {
-    std::copy_n(in, p, buf);
+  assert(work.size() >= scratch_elems());
+  if (desc_.dir == Direction::Inverse) {
+    run_schedule<true>(desc_, *tw_, in, in_elem_stride, out, out_elem_stride, work);
   } else {
-    for (std::size_t j = 0; j < p; ++j) buf[j] = in[static_cast<std::ptrdiff_t>(j) * in_elem_stride];
-  }
-  for (std::size_t j = p; j < n; ++j) buf[j] = c32{};
-
-  const float scale =
-      (inverse && desc_.scale_inverse) ? 1.0f / static_cast<float>(n) : 1.0f;
-
-  if (!pruned_) {
-    // Dense fast path: Stockham autosort (natural-order output, no gather).
-    std::span<c32> io{buf, n};
-    std::span<c32> scratch{work.data() + n, n};
-    if (inverse) {
-      stockham_inverse(io, scratch, n, desc_.scale_inverse);
-    } else {
-      stockham_forward(io, scratch, n);
-    }
-    if (out_elem_stride == 1) {
-      std::copy_n(buf, n, out);
-    } else {
-      for (std::size_t k = 0; k < n; ++k) out[static_cast<std::ptrdiff_t>(k) * out_elem_stride] = buf[k];
-    }
-    return;
-  }
-
-  dif_pruned_run({buf, n}, n, m, p, inverse);
-  // Gather the m needed natural-order bins out of the bit-reversed buffer.
-  const std::size_t bits = log2u(n);
-  if (out_elem_stride == 1) {
-    dif_gather({buf, n}, {out, m}, n, m, scale);
-  } else {
-    for (std::size_t k = 0; k < m; ++k) {
-      out[static_cast<std::ptrdiff_t>(k) * out_elem_stride] = buf[bit_reverse(k, bits)] * scale;
-    }
+    run_schedule<false>(desc_, *tw_, in, in_elem_stride, out, out_elem_stride, work);
   }
 }
 

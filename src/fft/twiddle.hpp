@@ -3,8 +3,8 @@
 // For a power-of-two size n the table stores, for every sub-transform length
 // L in {2, 4, ..., n}, the segment tw[j] = exp(-2*pi*i*j/L), j < L/2.  The
 // segment for length L starts at flat offset L/2 - 1, so the whole table is
-// exactly n - 1 entries.  Both the Stockham kernel (which needs
-// twiddle(p, 2l)) and the DIF kernel (twiddle(j, L)) index the same storage.
+// exactly n - 1 entries.  Every pass of the Stockham schedule, dense or
+// pruned, reads the segment of its own sub-transform length L = radix * l.
 #pragma once
 
 #include <cstddef>

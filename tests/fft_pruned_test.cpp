@@ -1,22 +1,23 @@
-// Pruned DIF kernel: correctness for every (n, m, p) and the Figure 5
-// operation counts.
+// Pruned FFT plans: every truncated / zero-padded plan against the dense
+// route and the double-precision reference, the executed-work counter, and
+// the Figure 5 operation counts of the DIF model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
-#include "fft/dif_pruned.hpp"
 #include "fft/opcount.hpp"
 #include "fft/plan.hpp"
 #include "fft/reference.hpp"
+#include "fft/stockham.hpp"
 #include "fft/twiddle.hpp"
 #include "test_util.hpp"
 
 namespace turbofno::fft {
 namespace {
 
-using turbofno::testing::fft_tol;
-using turbofno::testing::max_err;
 using turbofno::testing::random_signal;
+using turbofno::testing::rel_err;
 
 // --------------------------------------------------------------- block_need
 
@@ -57,82 +58,172 @@ TEST(BlockNeed, ChildrenSplitCeilFloor) {
   }
 }
 
-// -------------------------------------------------------- pruned correctness
+// ------------------------------------------------- pruned plan correctness
 
-struct PrunedCase {
-  std::size_t n;
-  std::size_t m;
-  std::size_t p;
-};
+// keep / nonzero values swept per size: the edges, the quarter and half
+// points and their neighbours (deduplicated, clamped to [1, n]); every value
+// up to n = 32.
+std::vector<std::size_t> filter_values(std::size_t n) {
+  std::vector<std::size_t> v;
+  if (n <= 32) {
+    for (std::size_t k = 1; k <= n; ++k) v.push_back(k);
+    return v;
+  }
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}, n / 4 - 1, n / 4,
+                              n / 4 + 1, n / 2, n - 1, n}) {
+    v.push_back(std::clamp<std::size_t>(k, 1, n));
+  }
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
 
-class PrunedDif : public ::testing::TestWithParam<PrunedCase> {};
+FftPlan make_plan(std::size_t n, Direction dir, std::size_t keep, std::size_t nonzero) {
+  PlanDesc d;
+  d.n = n;
+  d.dir = dir;
+  d.keep = keep;
+  d.nonzero = nonzero;
+  return FftPlan(d);
+}
 
-TEST_P(PrunedDif, ForwardMatchesReference) {
-  const auto [n, m, p] = GetParam();
-  const auto stored = random_signal(p, 101u + static_cast<unsigned>(n * 7 + m * 3 + p));
+// The dense route: the full Stockham transform of the zero-padded signal,
+// cut to its first `keep` bins.
+std::vector<c32> dense_route(std::span<const c32> stored, std::size_t n, std::size_t keep,
+                             Direction dir) {
   std::vector<c32> buf(n, c32{});
+  std::vector<c32> work(n);
   std::copy(stored.begin(), stored.end(), buf.begin());
-  dif_pruned_run(buf, n, m, p, /*inverse=*/false);
-  std::vector<c32> got(m);
-  dif_gather(buf, got, n, m, 1.0f);
-
-  std::vector<c32> ref(m);
-  reference_dft(stored, ref, n);
-  EXPECT_LT(max_err(got, ref), fft_tol(n)) << "n=" << n << " m=" << m << " p=" << p;
+  if (dir == Direction::Forward) {
+    stockham_forward(buf, work, n);
+  } else {
+    stockham_inverse(buf, work, n, /*scale=*/true);
+  }
+  buf.resize(keep);
+  return buf;
 }
 
-TEST_P(PrunedDif, InverseMatchesReference) {
-  const auto [n, m, p] = GetParam();
-  const auto stored = random_signal(p, 103u + static_cast<unsigned>(n + m + p));
-  std::vector<c32> buf(n, c32{});
-  std::copy(stored.begin(), stored.end(), buf.begin());
-  dif_pruned_run(buf, n, m, p, /*inverse=*/true);
-  std::vector<c32> got(m);
-  dif_gather(buf, got, n, m, 1.0f / static_cast<float>(n));
-
-  std::vector<c32> ref(m);
-  reference_idft(stored, ref, n);
-  EXPECT_LT(max_err(got, ref), fft_tol(n));
+std::size_t mismatches(std::span<const c32> a, std::span<const c32> b) {
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) bad += a[i] == b[i] ? 0 : 1;
+  return bad;
 }
 
-TEST_P(PrunedDif, MeasuredOpsEqualAnalyticCount) {
-  const auto [n, m, p] = GetParam();
-  std::vector<c32> buf(n, c32{1.0f, -1.0f});
-  for (std::size_t i = p; i < n; ++i) buf[i] = c32{};
-  const std::uint64_t measured = dif_pruned_run(buf, n, m, p, false);
-  EXPECT_EQ(measured, count_pruned_ops(n, m, p).unit_ops);
-}
+class PrunedPlan : public ::testing::TestWithParam<Direction> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, PrunedDif,
-    ::testing::Values(PrunedCase{4, 1, 4}, PrunedCase{4, 2, 4}, PrunedCase{4, 4, 4},
-                      PrunedCase{8, 1, 8}, PrunedCase{8, 3, 8}, PrunedCase{8, 8, 2},
-                      PrunedCase{16, 4, 16}, PrunedCase{16, 16, 4}, PrunedCase{16, 5, 7},
-                      PrunedCase{32, 8, 32}, PrunedCase{32, 32, 8}, PrunedCase{64, 16, 64},
-                      PrunedCase{64, 17, 33}, PrunedCase{128, 32, 128}, PrunedCase{128, 64, 64},
-                      PrunedCase{256, 64, 256}, PrunedCase{256, 128, 128},
-                      PrunedCase{256, 64, 64}, PrunedCase{512, 128, 512},
-                      PrunedCase{1024, 256, 1024}, PrunedCase{1024, 1, 1}));
-
-// Exhaustive small sweep: every (m, p) for n up to 32.
-TEST(PrunedDifExhaustive, AllFiltersUpTo32) {
-  for (std::size_t n : {2u, 4u, 8u, 16u, 32u}) {
-    for (std::size_t m = 1; m <= n; ++m) {
-      for (std::size_t p = 1; p <= n; ++p) {
-        const auto stored = random_signal(p, static_cast<unsigned>(n * 1000 + m * 37 + p));
-        std::vector<c32> buf(n, c32{});
-        std::copy(stored.begin(), stored.end(), buf.begin());
-        const std::uint64_t ops = dif_pruned_run(buf, n, m, p, false);
-        std::vector<c32> got(m);
-        dif_gather(buf, got, n, m, 1.0f);
-        std::vector<c32> ref(m);
+TEST_P(PrunedPlan, EqualsDenseRouteAndReferenceOverGrid) {
+  const Direction dir = GetParam();
+  for (std::size_t n = 2; n <= 4096; n *= 2) {
+    const auto signal = random_signal(n, 700u + static_cast<unsigned>(n));
+    const auto values = filter_values(n);
+    for (const std::size_t nonzero : values) {
+      const std::span<const c32> stored(signal.data(), nonzero);
+      std::vector<c32> ref(n);
+      if (dir == Direction::Forward) {
         reference_dft(stored, ref, n);
-        ASSERT_LT(max_err(got, ref), fft_tol(n)) << "n=" << n << " m=" << m << " p=" << p;
-        ASSERT_EQ(ops, count_pruned_ops(n, m, p).unit_ops) << "n=" << n << " m=" << m << " p=" << p;
+      } else {
+        reference_idft(stored, ref, n);
+      }
+      for (const std::size_t keep : values) {
+        const FftPlan plan = make_plan(n, dir, keep, nonzero);
+        std::vector<c32> got(keep);
+        plan.execute(stored, got, 1);
+        const auto dense = dense_route(stored, n, keep, dir);
+        ASSERT_EQ(mismatches(got, dense), 0u)
+            << "n=" << n << " keep=" << keep << " nonzero=" << nonzero;
+        ASSERT_LT(rel_err(got, std::span<const c32>(ref.data(), keep)), 1e-5)
+            << "n=" << n << " keep=" << keep << " nonzero=" << nonzero;
       }
     }
   }
 }
+
+TEST_P(PrunedPlan, StridedExecutionMatchesPacked) {
+  // Non-unit element strides take the gather/scatter edges of the schedule
+  // (the first pass reads the work buffer, the last pass writes it); the
+  // bins must not change.
+  const Direction dir = GetParam();
+  const std::size_t batch = 3;
+  for (std::size_t n = 2; n <= 4096; n *= 2) {
+    for (const std::size_t nonzero : filter_values(n)) {
+      for (const std::size_t keep : filter_values(n)) {
+        const FftPlan plan = make_plan(n, dir, keep, nonzero);
+        const auto packed_in = random_signal(batch * nonzero, 800u + static_cast<unsigned>(n));
+        std::vector<c32> packed_out(batch * keep);
+        plan.execute(packed_in, packed_out, batch);
+
+        ExecLayout layout;
+        layout.in_elem_stride = 3;
+        layout.in_batch_stride = static_cast<std::ptrdiff_t>(3 * nonzero + 1);
+        layout.out_elem_stride = 2;
+        layout.out_batch_stride = static_cast<std::ptrdiff_t>(2 * keep + 5);
+        std::vector<c32> in(batch * (3 * nonzero + 1), c32{9.0f, 9.0f});
+        for (std::size_t b = 0; b < batch; ++b) {
+          for (std::size_t j = 0; j < nonzero; ++j) {
+            in[b * (3 * nonzero + 1) + 3 * j] = packed_in[b * nonzero + j];
+          }
+        }
+        const c32 sentinel{-7.0f, 7.0f};
+        std::vector<c32> out(batch * (2 * keep + 5), sentinel);
+        plan.execute_strided(in.data(), out.data(), batch, layout);
+        for (std::size_t b = 0; b < batch; ++b) {
+          for (std::size_t k = 0; k < 2 * keep + 5; ++k) {
+            const c32 v = out[b * (2 * keep + 5) + k];
+            if (k % 2 == 0 && k / 2 < keep) {
+              ASSERT_EQ(v, packed_out[b * keep + k / 2])
+                  << "n=" << n << " keep=" << keep << " nonzero=" << nonzero << " b=" << b;
+            } else {
+              ASSERT_EQ(v, sentinel) << "wrote outside the strided output, n=" << n;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(PrunedPlan, InPlaceMatchesOutOfPlace) {
+  // n = 2 and 4 are single-pass schedules (the first pass is also the
+  // last); 8 and 256 read the input in the first pass and write it back in
+  // the last.
+  const Direction dir = GetParam();
+  for (const std::size_t n : {2u, 4u, 8u, 256u}) {
+    for (const std::size_t nonzero : filter_values(n)) {
+      for (const std::size_t keep : filter_values(n)) {
+        if (keep > nonzero) continue;
+        const FftPlan plan = make_plan(n, dir, keep, nonzero);
+        const std::size_t batch = 2;
+        std::vector<c32> buf = random_signal(batch * nonzero, 900u + static_cast<unsigned>(n));
+        std::vector<c32> want(batch * keep);
+        plan.execute(buf, want, batch);
+        // In place, signals stay nonzero elements apart; outputs land at
+        // the front of each signal's slot.
+        ExecLayout layout;
+        layout.in_batch_stride = static_cast<std::ptrdiff_t>(nonzero);
+        layout.out_batch_stride = static_cast<std::ptrdiff_t>(nonzero);
+        plan.execute_strided(buf.data(), buf.data(), batch, layout);
+        for (std::size_t b = 0; b < batch; ++b) {
+          ASSERT_EQ(mismatches({buf.data() + b * nonzero, keep}, {want.data() + b * keep, keep}),
+                    0u)
+              << "n=" << n << " keep=" << keep << " nonzero=" << nonzero;
+        }
+        if (keep == nonzero) {
+          std::vector<c32> packed = random_signal(batch * nonzero, 901u);
+          std::vector<c32> packed_want(batch * keep);
+          plan.execute(packed, packed_want, batch);
+          plan.execute(packed, packed, batch);
+          ASSERT_EQ(mismatches(packed, packed_want), 0u) << "n=" << n << " keep=" << keep;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Directions, PrunedPlan,
+                         ::testing::Values(Direction::Forward, Direction::Inverse),
+                         [](const auto& info) {
+                           return info.param == Direction::Forward ? "Forward" : "Inverse";
+                         });
 
 // ----------------------------------------------------------------- Figure 5
 
@@ -219,8 +310,45 @@ TEST(OpCount, FlopsOfPlanMatchCounter) {
   d.n = 256;
   d.keep = 64;
   const FftPlan plan(d);
-  EXPECT_EQ(plan.flops_per_signal(), count_pruned_ops(256, 64, 256).flops());
+  EXPECT_EQ(plan.flops_per_signal(), count_stockham_ops(256, 64, 256).flops());
   EXPECT_EQ(plan.unit_ops_per_signal(), count_pruned_ops(256, 64, 256).unit_ops);
+}
+
+TEST(StockhamOpCount, DenseCountMatchesPassStructure) {
+  // Dense radix-4 pass: 8 adds per butterfly and 3 multiplies per p > 0
+  // group; a radix-2 pass: 2 adds and 1 multiply.  n = 4: one p == 0
+  // butterfly; n = 8: radix-4 over l = 2 (one twiddled group of s = 1),
+  // then a radix-2 pass of 4 p == 0 butterflies.
+  EXPECT_EQ(count_stockham_ops(4, 4, 4).cadd, 8u);
+  EXPECT_EQ(count_stockham_ops(4, 4, 4).cmul, 0u);
+  EXPECT_EQ(count_stockham_ops(8, 8, 8).cadd, 2u * 8u + 4u * 2u);
+  EXPECT_EQ(count_stockham_ops(8, 8, 8).cmul, 3u);
+  // Truncated to one bin, a 4-point transform is a pure 4-term sum; padded
+  // to one nonzero input it is four copies.
+  EXPECT_EQ(count_stockham_ops(4, 1, 4).cadd, 3u);
+  EXPECT_EQ(count_stockham_ops(4, 4, 1).cadd, 0u);
+  EXPECT_EQ(count_stockham_ops(4, 4, 1).flops(), 0u);
+}
+
+TEST(StockhamOpCount, PrunedNeverExceedsDense) {
+  // A plan's executed FLOPs never exceed the dense plan's, and pruning at
+  // least half the spectrum on either side strictly saves work.
+  for (std::size_t n = 2; n <= 4096; n *= 2) {
+    PlanDesc dense_desc;
+    dense_desc.n = n;
+    const std::uint64_t dense = FftPlan(dense_desc).flops_per_signal();
+    EXPECT_EQ(dense, count_stockham_ops(n, n, n).flops());
+    for (const std::size_t keep : filter_values(n)) {
+      for (const std::size_t nonzero : filter_values(n)) {
+        const FftPlan plan = make_plan(n, Direction::Forward, keep, nonzero);
+        const std::uint64_t flops = plan.flops_per_signal();
+        EXPECT_LE(flops, dense) << "n=" << n << " keep=" << keep << " nonzero=" << nonzero;
+        if (keep <= n / 2 || nonzero <= n / 2) {
+          EXPECT_LT(flops, dense) << "n=" << n << " keep=" << keep << " nonzero=" << nonzero;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -61,8 +61,8 @@ TEST_P(CounterLaws1d, FullyFusedBytesFormula) {
 TEST_P(CounterLaws1d, FusedFlopsDecomposition) {
   const auto& p = GetParam();
   const auto t = run_total_1d(Variant::FullyFused, p);
-  const auto fwd = fft::count_pruned_ops(p.n, p.modes, p.n).flops();
-  const auto inv = fft::count_pruned_ops(p.n, p.n, p.modes).flops();
+  const auto fwd = fft::count_stockham_ops(p.n, p.modes, p.n).flops();
+  const auto inv = fft::count_stockham_ops(p.n, p.n, p.modes).flops();
   const std::uint64_t expect = p.batch * p.hidden * fwd +
                                trace::cgemm_flops(p.batch * p.modes, p.out_dim, p.hidden) +
                                p.batch * p.out_dim * inv;

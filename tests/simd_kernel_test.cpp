@@ -6,8 +6,10 @@
 // compiled with AVX2 support, the AVX2 backend through identical sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "fft/kernels.hpp"
@@ -322,26 +324,102 @@ TEST(SimdFft, SubLanePassesMatchScalarBackend) {
 #endif
 
 #if TURBOFNO_SIMD_HAVE_AVX2
-TEST(SimdFft, BlockButterflyBackendsAgree) {
-  // The pruned-DIF block butterfly must produce identical pruning decisions
-  // and near-identical arithmetic on both backends, across odd nonzero
-  // prefixes z and both need_odd settings.
-  const std::size_t n = 64;
-  const std::size_t half = n / 2;
-  const fft::TwiddleTable& tw = fft::twiddles_for(n);
-  const auto w = tw.forward(n);
-  for (const std::size_t z : {1u, 3u, 7u, 31u, 32u, 33u, 47u, 63u, 64u}) {
-    for (const bool need_odd : {false, true}) {
-      std::vector<c32> xs = random_signal(n, 400u + static_cast<unsigned>(z));
-      std::vector<c32> xv = xs;
-      const auto ops_s =
-          fft::kernels::block_butterfly<simd::ScalarBackend>(xs.data(), half, z, need_odd, w);
-      const auto ops_v =
-          fft::kernels::block_butterfly<simd::Avx2Backend>(xv.data(), half, z, need_odd, w);
-      EXPECT_EQ(ops_s, ops_v) << "z=" << z << " need_odd=" << need_odd;
-      EXPECT_LT(max_err(xv, xs), 1e-6) << "z=" << z << " need_odd=" << need_odd;
+// The pruned pass kernels of both backends against each other and against
+// the dense pass on a signal whose zero legs are real zeros.  Zero legs hold
+// NaN for the pruned kernels, so reading one poisons an output; outputs are
+// sentinel-filled, so both backends must write exactly the needed set.
+template <std::size_t R, bool Inverse>
+void check_pruned_passes(std::size_t l, std::size_t s) {
+  using S = simd::ScalarBackend;
+  using V = simd::Avx2Backend;
+  const std::size_t len = R * l;
+  const std::size_t elems = s * len;
+  std::vector<c32> w(len / 2);
+  for (std::size_t j = 0; j < len / 2; ++j) {
+    const double ang = (Inverse ? 2.0 : -2.0) * M_PI * static_cast<double>(j) /
+                       static_cast<double>(len);
+    w[j] = c32{static_cast<float>(std::cos(ang)), static_cast<float>(std::sin(ang))};
+  }
+  const c32 sentinel{1e30f, -1e30f};
+  auto close = [](c32 a, c32 b) {
+    return std::isfinite(a.re) && std::isfinite(a.im) && std::fabs(a.re - b.re) < 1e-5f &&
+           std::fabs(a.im - b.im) < 1e-5f;
+  };
+  const std::string where = "R=" + std::to_string(R) + " l=" + std::to_string(l) +
+                            " s=" + std::to_string(s) + " inv=" + std::to_string(Inverse);
+
+  for (std::size_t legs = 1; legs <= R; ++legs) {
+    std::vector<c32> src = random_signal(elems, 600u + static_cast<unsigned>(legs * elems));
+    std::vector<c32> zeros = src;
+    for (std::size_t i = s * legs * l; i < elems; ++i) {
+      src[i] = c32{NAN, NAN};
+      zeros[i] = c32{};
+    }
+    std::vector<c32> want(elems);
+    if constexpr (R == 4) {
+      fft::kernels::pass_radix4<S, Inverse>(zeros.data(), want.data(), l, s, w);
+    } else {
+      fft::kernels::pass_radix2<S, Inverse>(zeros.data(), want.data(), l, s, w);
+    }
+
+    std::vector<c32> ds(elems, sentinel), dv(elems, sentinel);
+    fft::kernels::pass_padded<S, R, Inverse>(src.data(), ds.data(), l, s, w, legs);
+    fft::kernels::pass_padded<V, R, Inverse>(src.data(), dv.data(), l, s, w, legs);
+    for (std::size_t i = 0; i < elems; ++i) {
+      ASSERT_TRUE(close(ds[i], want[i])) << "padded scalar " << where << " legs=" << legs;
+      ASSERT_TRUE(close(dv[i], ds[i])) << "padded avx2 " << where << " legs=" << legs;
+    }
+
+    // keep == R*s writes every output; a scale multiplies each as stored.
+    std::fill(ds.begin(), ds.end(), sentinel);
+    std::fill(dv.begin(), dv.end(), sentinel);
+    fft::kernels::pass_truncated<S, R, Inverse>(src.data(), ds.data(), l, s, w, R * s, legs,
+                                                0.125f);
+    fft::kernels::pass_truncated<V, R, Inverse>(src.data(), dv.data(), l, s, w, R * s, legs,
+                                                0.125f);
+    for (std::size_t i = 0; i < elems; ++i) {
+      ASSERT_TRUE(close(ds[i], want[i] * 0.125f)) << "scaled scalar " << where << " legs=" << legs;
+      ASSERT_TRUE(close(dv[i], ds[i])) << "scaled avx2 " << where << " legs=" << legs;
+    }
+
+    for (std::size_t keep = 1; keep < R * s; keep += 2) {
+      std::fill(ds.begin(), ds.end(), sentinel);
+      std::fill(dv.begin(), dv.end(), sentinel);
+      fft::kernels::pass_truncated<S, R, Inverse>(src.data(), ds.data(), l, s, w, keep, legs);
+      fft::kernels::pass_truncated<V, R, Inverse>(src.data(), dv.data(), l, s, w, keep, legs);
+      for (std::size_t p = 0; p < l; ++p) {
+        for (std::size_t k = 0; k < R; ++k) {
+          for (std::size_t q = 0; q < s; ++q) {
+            const std::size_t i = s * (R * p + k) + q;
+            const bool needed = q + s * k < keep;
+            ASSERT_EQ(ds[i] == sentinel, !needed)
+                << "truncated scalar " << where << " legs=" << legs << " keep=" << keep;
+            ASSERT_EQ(dv[i] == sentinel, !needed)
+                << "truncated avx2 " << where << " legs=" << legs << " keep=" << keep;
+            if (needed) {
+              ASSERT_TRUE(close(ds[i], want[i])) << where << " legs=" << legs << " keep=" << keep;
+              ASSERT_TRUE(close(dv[i], ds[i])) << where << " legs=" << legs << " keep=" << keep;
+            }
+          }
+        }
+      }
     }
   }
+}
+
+TEST(SimdFft, PrunedPassesBackendsAgree) {
+  for (const std::size_t s : {1u, 2u, 4u, 16u}) {
+    for (const std::size_t l : {1u, 2u, 4u, 5u, 8u}) {
+      check_pruned_passes<4, false>(l, s);
+      check_pruned_passes<4, true>(l, s);
+      check_pruned_passes<2, false>(l, s);
+      check_pruned_passes<2, true>(l, s);
+    }
+  }
+  // The radix-2 tail of an odd-log2 schedule: n = 128 ends with l = 1,
+  // s = 64.
+  check_pruned_passes<2, false>(1, 64);
+  check_pruned_passes<2, true>(1, 64);
 }
 #endif
 
