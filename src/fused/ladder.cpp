@@ -122,7 +122,7 @@ class Adapter1d final : public SpectralPipeline1d {
   explicit Adapter1d(const baseline::Spectral1dProblem& prob, std::string_view nm)
       : impl_(prob), name_(nm) {}
   void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override {
-    impl_.run(u, w, v);
+    impl_.run_batched(u, w, v, impl_.problem().batch);
   }
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
                    std::size_t batch) override {
@@ -152,7 +152,7 @@ class Adapter2d final : public SpectralPipeline2d {
   explicit Adapter2d(const baseline::Spectral2dProblem& prob, std::string_view nm)
       : impl_(prob), name_(nm) {}
   void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) override {
-    impl_.run(u, w, v);
+    impl_.run_batched(u, w, v, impl_.problem().batch);
   }
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
                    std::size_t batch) override {

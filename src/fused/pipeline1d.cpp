@@ -1,9 +1,8 @@
 #include "fused/pipeline1d.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
-#include "fft/plan_cache.hpp"
+#include "fused/fft_variant.hpp"
 #include "gemm/batched.hpp"
 #include "gemm/config.hpp"
 #include "runtime/parallel.hpp"
@@ -17,47 +16,35 @@ namespace {
 
 constexpr std::size_t kTb = gemm::FusedTiles::Ktb;  // paper Table 1: k_tb = 8
 
-void check_spans(const baseline::Spectral1dProblem& prob, std::span<const c32> u,
-                 std::span<c32> v, std::size_t batch) {
-  baseline::check_batch_spans(u.size(), v.size(), prob.hidden * prob.n, prob.out_dim * prob.n,
-                              batch, "pipeline1d");
-}
-
-void check_spans_real(const baseline::Spectral1dProblem& prob, std::span<const float> u,
-                      std::span<float> v, std::size_t batch) {
-  baseline::check_batch_spans(u.size(), v.size(), prob.hidden * prob.n, prob.out_dim * prob.n,
-                              batch, "pipeline1d(real)");
-}
-
-// The real lane retains the RFFT half-spectrum: modes/2+1 of the modes
-// lowest bins.  Always <= modes, so the complex lane's workspaces cover it.
-std::size_t real_modes(std::size_t modes) noexcept { return modes / 2 + 1; }
-
-// Lazy acquisition keeps complex-only pipelines free of the RFFT's n >= 4
-// requirement.  rfwd is assigned last so it doubles as the "ready" flag
-// even if the inverse acquisition throws.
-void ensure_real_plans(const baseline::Spectral1dProblem& prob,
-                       std::shared_ptr<const fft::RfftPlan>& rfwd,
-                       std::shared_ptr<const fft::IrfftPlan>& rinv) {
-  if (rfwd) return;
-  const std::size_t mr = real_modes(prob.modes);
-  rinv = fft::acquire_irfft_plan(prob.n, mr);
-  rfwd = fft::acquire_rfft_plan(prob.n, mr);
-}
-
 }  // namespace
+
+Pipeline1dBase::Pipeline1dBase(baseline::Spectral1dProblem prob, const char* counters_name)
+    : prob_(prob),
+      complex_plans_(ComplexLane::plans(prob.n, prob.modes)),
+      counters_(counters_name) {
+  prob_.validate();
+}
+
+template <class Lane>
+const typename Lane::Plans& Pipeline1dBase::plans() {
+  auto& p = Lane::pick(complex_plans_, real_plans_);
+  if (!p.fwd) p = Lane::plans(prob_.n, Lane::kept(prob_.modes));
+  return p;
+}
+
+template <class Lane>
+void Pipeline1dBase::check_spans(std::span<const typename Lane::Sample> u,
+                                 std::span<typename Lane::Sample> v, std::size_t batch) const {
+  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n, prob_.out_dim * prob_.n,
+                              batch, Lane::kWho1d);
+}
 
 // ---------------------------------------------------------------- FftOpt (A)
 
 FftOptPipeline1d::FftOptPipeline1d(baseline::Spectral1dProblem prob)
-    : prob_(prob), fwd_(prob.n, prob.modes), inv_(prob.n, prob.modes) {
-  prob_.validate();
+    : Pipeline1dBase(prob, "fftopt-1d") {
   freq_.resize(prob_.batch * prob_.hidden * prob_.modes);
   mixed_.resize(prob_.batch * prob_.out_dim * prob_.modes);
-}
-
-void FftOptPipeline1d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
 }
 
 void FftOptPipeline1d::reserve(std::size_t batch) {
@@ -71,24 +58,38 @@ void FftOptPipeline1d::reserve(std::size_t batch) {
 
 void FftOptPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> w,
                                    std::span<c32> v, std::size_t batch) {
-  check_spans(prob_, u, v, batch);
+  run_lane<ComplexLane>(u, w, v, batch);
+}
+
+void FftOptPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
+                                        std::span<float> v, std::size_t batch) {
+  run_lane<RealLane>(u, w, v, batch);
+}
+
+template <class Lane>
+void FftOptPipeline1d::run_lane(std::span<const typename Lane::Sample> u,
+                                std::span<const c32> w, std::span<typename Lane::Sample> v,
+                                std::size_t batch) {
+  check_spans<Lane>(u, v, batch);
+  const auto& pl = plans<Lane>();
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
+  using S = typename Lane::Sample;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
   const std::size_t N = prob_.n;
-  const std::size_t M = prob_.modes;
+  const std::size_t M = Lane::kept(prob_.modes);
 
   {
     runtime::Timer t;
-    fwd_.plan().execute(u, freq_.span(), B * K);
+    pl.fwd->execute(u.first(B * K * N), freq_.span().first(B * K * M), B * K);
     auto& sc = counters_.stage("fft-trunc");
     sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(c32);
+    sc.bytes_read = B * K * N * sizeof(S);
     sc.bytes_written = B * K * M * sizeof(c32);  // only the kept bins
-    sc.flops = B * K * fwd_.plan().flops_per_signal();
+    sc.flops = B * K * pl.fwd->flops_per_signal();
     sc.kernel_launches = 1;
   }
 
@@ -110,64 +111,12 @@ void FftOptPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> 
 
   {
     runtime::Timer t;
-    inv_.plan().execute(mixed_.span(), v, B * O);
+    pl.inv->execute(mixed_.span().first(B * O * M), v.first(B * O * N), B * O);
     auto& sc = counters_.stage("ifft-pad");
     sc.seconds = t.seconds();
     sc.bytes_read = B * O * M * sizeof(c32);  // only the stored prefix
-    sc.bytes_written = B * O * N * sizeof(c32);
-    sc.flops = B * O * inv_.plan().flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-}
-
-void FftOptPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                        std::span<float> v, std::size_t batch) {
-  check_spans_real(prob_, u, v, batch);
-  ensure_real_plans(prob_, rfwd_, rinv_);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t MR = real_modes(prob_.modes);
-
-  {
-    runtime::Timer t;
-    rfwd_->execute(u.first(B * K * N), freq_.span().first(B * K * MR), B * K);
-    auto& sc = counters_.stage("fft-trunc");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(float);
-    sc.bytes_written = B * K * MR * sizeof(c32);  // only the kept half-spectrum
-    sc.flops = B * K * rfwd_->flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-
-  {
-    runtime::Timer t;
-    gemm::BatchedStrides strides;
-    strides.a = 0;
-    strides.b = static_cast<std::ptrdiff_t>(K * MR);
-    strides.c = static_cast<std::ptrdiff_t>(O * MR);
-    gemm::cgemm_batched(O, MR, K, c32{1.0f, 0.0f}, w.data(), K, freq_.data(), MR,
-                        c32{0.0f, 0.0f}, mixed_.data(), MR, B, strides);
-    auto& sc = counters_.stage("cgemm");
-    sc.seconds = t.seconds();
-    sc.bytes_read = (B * K * MR + O * K) * sizeof(c32);
-    sc.bytes_written = B * O * MR * sizeof(c32);
-    sc.flops = trace::cgemm_flops(B * MR, O, K);
-    sc.kernel_launches = 1;
-  }
-
-  {
-    runtime::Timer t;
-    rinv_->execute(mixed_.span().first(B * O * MR), v.first(B * O * N), B * O);
-    auto& sc = counters_.stage("ifft-pad");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * O * MR * sizeof(c32);  // only the stored prefix
-    sc.bytes_written = B * O * N * sizeof(float);
-    sc.flops = B * O * rinv_->flops_per_signal();
+    sc.bytes_written = B * O * N * sizeof(S);
+    sc.flops = B * O * pl.inv->flops_per_signal();
     sc.kernel_launches = 1;
   }
 }
@@ -175,14 +124,8 @@ void FftOptPipeline1d::run_batched_real(std::span<const float> u, std::span<cons
 // --------------------------------------------------------- FusedFftGemm (B)
 
 FusedFftGemmPipeline1d::FusedFftGemmPipeline1d(baseline::Spectral1dProblem prob)
-    : prob_(prob), fwd_(prob.n, prob.modes), inv_(prob.n, prob.modes) {
-  prob_.validate();
+    : Pipeline1dBase(prob, "fused-fft-gemm-1d") {
   mixed_.resize(prob_.batch * prob_.out_dim * prob_.modes);
-}
-
-void FusedFftGemmPipeline1d::run(std::span<const c32> u, std::span<const c32> w,
-                                 std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
 }
 
 void FusedFftGemmPipeline1d::reserve(std::size_t batch) {
@@ -193,15 +136,29 @@ void FusedFftGemmPipeline1d::reserve(std::size_t batch) {
 
 void FusedFftGemmPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> w,
                                          std::span<c32> v, std::size_t batch) {
-  check_spans(prob_, u, v, batch);
+  run_lane<ComplexLane>(u, w, v, batch);
+}
+
+void FusedFftGemmPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
+                                              std::span<float> v, std::size_t batch) {
+  run_lane<RealLane>(u, w, v, batch);
+}
+
+template <class Lane>
+void FusedFftGemmPipeline1d::run_lane(std::span<const typename Lane::Sample> u,
+                                      std::span<const c32> w,
+                                      std::span<typename Lane::Sample> v, std::size_t batch) {
+  check_spans<Lane>(u, v, batch);
+  const auto& pl = plans<Lane>();
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
+  using S = typename Lane::Sample;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
   const std::size_t N = prob_.n;
-  const std::size_t M = prob_.modes;
+  const std::size_t M = Lane::kept(prob_.modes);
 
   {
     runtime::Timer t;
@@ -210,10 +167,10 @@ void FusedFftGemmPipeline1d::run_batched(std::span<const c32> u, std::span<const
       auto& arena = runtime::tls_scratch();
       const auto scope = arena.scope();
       // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<c32> tile = arena.alloc<c32>(kTb * ld);
+      const std::span<c32> row = arena.alloc<c32>(ld);  // one channel's spectrum
       const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);  // split tile planes
       const std::span<float> acc = arena.alloc<float>(2 * O * ld);  // split accumulator planes
-      const std::span<c32> work = arena.alloc<c32>(fwd_.plan().scratch_elems());
+      const std::span<c32> work = arena.alloc<c32>(pl.fwd->scratch_elems());
       std::fill(tsplit.begin(), tsplit.end(), 0.0f);  // lane padding must stay zero
       float* tre = tsplit.data();
       float* tim = tre + kTb * ld;
@@ -223,11 +180,12 @@ void FusedFftGemmPipeline1d::run_batched(std::span<const c32> u, std::span<const
         std::fill(acc.begin(), acc.end(), 0.0f);
         for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
           const std::size_t kc = std::min(kTb, K - k0);
-          // FFT directly into the GEMM operand tile (the shared-memory A
-          // block of the paper), split into SoA planes for the SIMD MAC ...
-          fwd_.forward_tile(u.data() + (b * K + k0) * N, N, kc, tile.data(), ld, work);
+          // FFT each channel straight into the GEMM operand tile (the
+          // shared-memory A block of the paper), split into SoA planes for
+          // the SIMD MAC ...
           for (std::size_t kk = 0; kk < kc; ++kk) {
-            simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, M);
+            pl.fwd->execute_one(u.data() + (b * K + k0 + kk) * N, 1, row.data(), 1, work);
+            simd::split_planes(row.data(), tre + kk * ld, tim + kk * ld, M);
           }
           // ... and the MAC phase of the k-loop.
           rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
@@ -240,89 +198,20 @@ void FusedFftGemmPipeline1d::run_batched(std::span<const c32> u, std::span<const
     });
     auto& sc = counters_.stage("fused-fft-cgemm");
     sc.seconds = t.seconds();
-    sc.bytes_read = (B * K * N + O * K) * sizeof(c32);
+    sc.bytes_read = B * K * N * sizeof(S) + O * K * sizeof(c32);
     sc.bytes_written = B * O * M * sizeof(c32);
-    sc.flops = B * K * fwd_.plan().flops_per_signal() + trace::cgemm_flops(B * M, O, K);
+    sc.flops = B * K * pl.fwd->flops_per_signal() + trace::cgemm_flops(B * M, O, K);
     sc.kernel_launches = 1;
   }
 
   {
     runtime::Timer t;
-    inv_.plan().execute(mixed_.span(), v, B * O);
+    pl.inv->execute(mixed_.span().first(B * O * M), v.first(B * O * N), B * O);
     auto& sc = counters_.stage("ifft-pad");
     sc.seconds = t.seconds();
     sc.bytes_read = B * O * M * sizeof(c32);
-    sc.bytes_written = B * O * N * sizeof(c32);
-    sc.flops = B * O * inv_.plan().flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-}
-
-void FusedFftGemmPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                              std::span<float> v, std::size_t batch) {
-  check_spans_real(prob_, u, v, batch);
-  ensure_real_plans(prob_, rfwd_, rinv_);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t MR = real_modes(prob_.modes);
-
-  {
-    runtime::Timer t;
-    const std::size_t ld = simd::round_up_lanes(MR);
-    runtime::parallel_for(0, B, 1, [&](std::size_t lo, std::size_t hi) {
-      auto& arena = runtime::tls_scratch();
-      const auto scope = arena.scope();
-      // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<c32> tile = arena.alloc<c32>(kTb * ld);
-      const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
-      const std::span<float> acc = arena.alloc<float>(2 * O * ld);
-      const std::span<c32> work = arena.alloc<c32>(rfwd_->scratch_elems());
-      std::fill(tsplit.begin(), tsplit.end(), 0.0f);  // lane padding must stay zero
-      float* tre = tsplit.data();
-      float* tim = tre + kTb * ld;
-      float* are = acc.data();
-      float* aim = are + O * ld;
-      for (std::size_t b = lo; b < hi; ++b) {
-        std::fill(acc.begin(), acc.end(), 0.0f);
-        for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-          const std::size_t kc = std::min(kTb, K - k0);
-          // RFFT directly into the GEMM operand tile: one packed half-length
-          // transform per channel, untangled to the MR kept bins.
-          for (std::size_t kk = 0; kk < kc; ++kk) {
-            rfwd_->execute_one(u.data() + (b * K + k0 + kk) * N, 1, tile.data() + kk * ld, 1,
-                               work);
-            simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, MR);
-          }
-          rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
-        }
-        for (std::size_t o = 0; o < O; ++o) {
-          simd::interleave_planes(are + o * ld, aim + o * ld, mixed_.data() + (b * O + o) * MR,
-                                  MR);
-        }
-      }
-      // tfno-hot-end
-    });
-    auto& sc = counters_.stage("fused-fft-cgemm");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(float) + O * K * sizeof(c32);
-    sc.bytes_written = B * O * MR * sizeof(c32);
-    sc.flops = B * K * rfwd_->flops_per_signal() + trace::cgemm_flops(B * MR, O, K);
-    sc.kernel_launches = 1;
-  }
-
-  {
-    runtime::Timer t;
-    rinv_->execute(mixed_.span().first(B * O * MR), v.first(B * O * N), B * O);
-    auto& sc = counters_.stage("ifft-pad");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * O * MR * sizeof(c32);
-    sc.bytes_written = B * O * N * sizeof(float);
-    sc.flops = B * O * rinv_->flops_per_signal();
+    sc.bytes_written = B * O * N * sizeof(S);
+    sc.flops = B * O * pl.inv->flops_per_signal();
     sc.kernel_launches = 1;
   }
 }
@@ -330,14 +219,8 @@ void FusedFftGemmPipeline1d::run_batched_real(std::span<const float> u, std::spa
 // --------------------------------------------------------- FusedGemmIfft (C)
 
 FusedGemmIfftPipeline1d::FusedGemmIfftPipeline1d(baseline::Spectral1dProblem prob)
-    : prob_(prob), fwd_(prob.n, prob.modes), inv_(prob.n, prob.modes) {
-  prob_.validate();
+    : Pipeline1dBase(prob, "fused-gemm-ifft-1d") {
   freq_.resize(prob_.batch * prob_.hidden * prob_.modes);
-}
-
-void FusedGemmIfftPipeline1d::run(std::span<const c32> u, std::span<const c32> w,
-                                  std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
 }
 
 void FusedGemmIfftPipeline1d::reserve(std::size_t batch) {
@@ -348,24 +231,38 @@ void FusedGemmIfftPipeline1d::reserve(std::size_t batch) {
 
 void FusedGemmIfftPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> w,
                                           std::span<c32> v, std::size_t batch) {
-  check_spans(prob_, u, v, batch);
+  run_lane<ComplexLane>(u, w, v, batch);
+}
+
+void FusedGemmIfftPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
+                                               std::span<float> v, std::size_t batch) {
+  run_lane<RealLane>(u, w, v, batch);
+}
+
+template <class Lane>
+void FusedGemmIfftPipeline1d::run_lane(std::span<const typename Lane::Sample> u,
+                                       std::span<const c32> w,
+                                       std::span<typename Lane::Sample> v, std::size_t batch) {
+  check_spans<Lane>(u, v, batch);
+  const auto& pl = plans<Lane>();
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
+  using S = typename Lane::Sample;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
   const std::size_t N = prob_.n;
-  const std::size_t M = prob_.modes;
+  const std::size_t M = Lane::kept(prob_.modes);
 
   {
     runtime::Timer t;
-    fwd_.plan().execute(u, freq_.span(), B * K);
+    pl.fwd->execute(u.first(B * K * N), freq_.span().first(B * K * M), B * K);
     auto& sc = counters_.stage("fft-trunc");
     sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(c32);
+    sc.bytes_read = B * K * N * sizeof(S);
     sc.bytes_written = B * K * M * sizeof(c32);
-    sc.flops = B * K * fwd_.plan().flops_per_signal();
+    sc.flops = B * K * pl.fwd->flops_per_signal();
     sc.kernel_launches = 1;
   }
 
@@ -379,7 +276,7 @@ void FusedGemmIfftPipeline1d::run_batched(std::span<const c32> u, std::span<cons
       const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
       const std::span<float> acc = arena.alloc<float>(2 * O * ld);
       const std::span<c32> row = arena.alloc<c32>(ld);
-      const std::span<c32> work = arena.alloc<c32>(inv_.plan().scratch_elems());
+      const std::span<c32> work = arena.alloc<c32>(pl.inv->scratch_elems());
       std::fill(tsplit.begin(), tsplit.end(), 0.0f);
       float* tre = tsplit.data();
       float* tim = tre + kTb * ld;
@@ -401,7 +298,7 @@ void FusedGemmIfftPipeline1d::run_batched(std::span<const c32> u, std::span<cons
         // Figure 6(f): iFFT on the result matrix along the output dim).
         for (std::size_t o = 0; o < O; ++o) {
           simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), M);
-          inv_.inverse_row(row.data(), v.data() + (b * O + o) * N, work);
+          pl.inv->execute_one(row.data(), 1, v.data() + (b * O + o) * N, 1, work);
         }
       }
       // tfno-hot-end
@@ -409,76 +306,8 @@ void FusedGemmIfftPipeline1d::run_batched(std::span<const c32> u, std::span<cons
     auto& sc = counters_.stage("fused-cgemm-ifft");
     sc.seconds = t.seconds();
     sc.bytes_read = (B * K * M + O * K) * sizeof(c32);
-    sc.bytes_written = B * O * N * sizeof(c32);
-    sc.flops = trace::cgemm_flops(B * M, O, K) + B * O * inv_.plan().flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-}
-
-void FusedGemmIfftPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                               std::span<float> v, std::size_t batch) {
-  check_spans_real(prob_, u, v, batch);
-  ensure_real_plans(prob_, rfwd_, rinv_);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t MR = real_modes(prob_.modes);
-
-  {
-    runtime::Timer t;
-    rfwd_->execute(u.first(B * K * N), freq_.span().first(B * K * MR), B * K);
-    auto& sc = counters_.stage("fft-trunc");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(float);
-    sc.bytes_written = B * K * MR * sizeof(c32);
-    sc.flops = B * K * rfwd_->flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-
-  {
-    runtime::Timer t;
-    const std::size_t ld = simd::round_up_lanes(MR);
-    runtime::parallel_for(0, B, 1, [&](std::size_t lo, std::size_t hi) {
-      auto& arena = runtime::tls_scratch();
-      const auto scope = arena.scope();
-      // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
-      const std::span<float> acc = arena.alloc<float>(2 * O * ld);
-      const std::span<c32> row = arena.alloc<c32>(ld);
-      const std::span<c32> work = arena.alloc<c32>(rinv_->scratch_elems());
-      std::fill(tsplit.begin(), tsplit.end(), 0.0f);
-      float* tre = tsplit.data();
-      float* tim = tre + kTb * ld;
-      float* are = acc.data();
-      float* aim = are + O * ld;
-      for (std::size_t b = lo; b < hi; ++b) {
-        std::fill(acc.begin(), acc.end(), 0.0f);
-        for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-          const std::size_t kc = std::min(kTb, K - k0);
-          for (std::size_t kk = 0; kk < kc; ++kk) {
-            simd::split_planes(freq_.data() + (b * K + k0 + kk) * MR, tre + kk * ld,
-                               tim + kk * ld, MR);
-          }
-          rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
-        }
-        // C2R epilogue straight out of the accumulator tile: Hermitian
-        // extension + half-length inverse, real samples out.
-        for (std::size_t o = 0; o < O; ++o) {
-          simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MR);
-          rinv_->execute_one(row.data(), 1, v.data() + (b * O + o) * N, 1, work);
-        }
-      }
-      // tfno-hot-end
-    });
-    auto& sc = counters_.stage("fused-cgemm-ifft");
-    sc.seconds = t.seconds();
-    sc.bytes_read = (B * K * MR + O * K) * sizeof(c32);
-    sc.bytes_written = B * O * N * sizeof(float);
-    sc.flops = trace::cgemm_flops(B * MR, O, K) + B * O * rinv_->flops_per_signal();
+    sc.bytes_written = B * O * N * sizeof(S);
+    sc.flops = trace::cgemm_flops(B * M, O, K) + B * O * pl.inv->flops_per_signal();
     sc.kernel_launches = 1;
   }
 }
@@ -486,13 +315,7 @@ void FusedGemmIfftPipeline1d::run_batched_real(std::span<const float> u, std::sp
 // ------------------------------------------------------------ FullyFused (D)
 
 FullyFusedPipeline1d::FullyFusedPipeline1d(baseline::Spectral1dProblem prob)
-    : prob_(prob), fwd_(prob.n, prob.modes), inv_(prob.n, prob.modes) {
-  prob_.validate();
-}
-
-void FullyFusedPipeline1d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
+    : Pipeline1dBase(prob, "fully-fused-1d") {}
 
 void FullyFusedPipeline1d::reserve(std::size_t batch) {
   // No batch-sized workspaces: per-task state lives in the thread arenas.
@@ -501,83 +324,40 @@ void FullyFusedPipeline1d::reserve(std::size_t batch) {
 
 void FullyFusedPipeline1d::run_batched(std::span<const c32> u, std::span<const c32> w,
                                        std::span<c32> v, std::size_t batch) {
-  check_spans(prob_, u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t M = prob_.modes;
-
-  runtime::Timer t;
-  const std::size_t ld = simd::round_up_lanes(M);
-  runtime::parallel_for(0, B, 1, [&](std::size_t lo, std::size_t hi) {
-    auto& arena = runtime::tls_scratch();
-    const auto scope = arena.scope();
-    // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> tile = arena.alloc<c32>(kTb * ld);  // FFT out == GEMM A tile
-    const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);  // its SoA planes
-    const std::span<float> acc = arena.alloc<float>(2 * O * ld);  // C planes, cache-resident
-    const std::span<c32> row = arena.alloc<c32>(ld);
-    const std::span<c32> work = arena.alloc<c32>(fwd_.plan().scratch_elems());
-    std::fill(tsplit.begin(), tsplit.end(), 0.0f);
-    float* tre = tsplit.data();
-    float* tim = tre + kTb * ld;
-    float* are = acc.data();
-    float* aim = are + O * ld;
-    for (std::size_t b = lo; b < hi; ++b) {
-      std::fill(acc.begin(), acc.end(), 0.0f);
-      for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
-        const std::size_t kc = std::min(kTb, K - k0);
-        fwd_.forward_tile(u.data() + (b * K + k0) * N, N, kc, tile.data(), ld, work);
-        for (std::size_t kk = 0; kk < kc; ++kk) {
-          simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, M);
-        }
-        rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
-      }
-      for (std::size_t o = 0; o < O; ++o) {
-        simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), M);
-        inv_.inverse_row(row.data(), v.data() + (b * O + o) * N, work);
-      }
-    }
-    // tfno-hot-end
-  });
-
-  auto& sc = counters_.stage("fused-fft-cgemm-ifft");
-  sc.seconds = t.seconds();
-  sc.bytes_read = (B * K * N + O * K) * sizeof(c32);
-  sc.bytes_written = B * O * N * sizeof(c32);
-  sc.flops = B * K * fwd_.plan().flops_per_signal() + trace::cgemm_flops(B * M, O, K) +
-             B * O * inv_.plan().flops_per_signal();
-  sc.kernel_launches = 1;
+  run_lane<ComplexLane>(u, w, v, batch);
 }
 
 void FullyFusedPipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
                                             std::span<float> v, std::size_t batch) {
-  check_spans_real(prob_, u, v, batch);
-  ensure_real_plans(prob_, rfwd_, rinv_);
+  run_lane<RealLane>(u, w, v, batch);
+}
+
+template <class Lane>
+void FullyFusedPipeline1d::run_lane(std::span<const typename Lane::Sample> u,
+                                    std::span<const c32> w, std::span<typename Lane::Sample> v,
+                                    std::size_t batch) {
+  check_spans<Lane>(u, v, batch);
+  const auto& pl = plans<Lane>();
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
+  using S = typename Lane::Sample;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
   const std::size_t N = prob_.n;
-  const std::size_t MR = real_modes(prob_.modes);
+  const std::size_t M = Lane::kept(prob_.modes);
 
   runtime::Timer t;
-  const std::size_t ld = simd::round_up_lanes(MR);
-  const std::size_t work_elems = std::max(rfwd_->scratch_elems(), rinv_->scratch_elems());
+  const std::size_t ld = simd::round_up_lanes(M);
+  const std::size_t work_elems = std::max(pl.fwd->scratch_elems(), pl.inv->scratch_elems());
   runtime::parallel_for(0, B, 1, [&](std::size_t lo, std::size_t hi) {
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> tile = arena.alloc<c32>(kTb * ld);  // RFFT out == GEMM A tile
-    const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
-    const std::span<float> acc = arena.alloc<float>(2 * O * ld);
-    const std::span<c32> row = arena.alloc<c32>(ld);
+    const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);  // GEMM A tile planes
+    const std::span<float> acc = arena.alloc<float>(2 * O * ld);  // C planes, cache-resident
+    const std::span<c32> row = arena.alloc<c32>(ld);  // FFT out / iFFT in, one channel
     const std::span<c32> work = arena.alloc<c32>(work_elems);
     std::fill(tsplit.begin(), tsplit.end(), 0.0f);
     float* tre = tsplit.data();
@@ -589,15 +369,14 @@ void FullyFusedPipeline1d::run_batched_real(std::span<const float> u, std::span<
       for (std::size_t k0 = 0; k0 < K; k0 += kTb) {
         const std::size_t kc = std::min(kTb, K - k0);
         for (std::size_t kk = 0; kk < kc; ++kk) {
-          rfwd_->execute_one(u.data() + (b * K + k0 + kk) * N, 1, tile.data() + kk * ld, 1,
-                             work);
-          simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, MR);
+          pl.fwd->execute_one(u.data() + (b * K + k0 + kk) * N, 1, row.data(), 1, work);
+          simd::split_planes(row.data(), tre + kk * ld, tim + kk * ld, M);
         }
         rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
       }
       for (std::size_t o = 0; o < O; ++o) {
-        simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MR);
-        rinv_->execute_one(row.data(), 1, v.data() + (b * O + o) * N, 1, work);
+        simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), M);
+        pl.inv->execute_one(row.data(), 1, v.data() + (b * O + o) * N, 1, work);
       }
     }
     // tfno-hot-end
@@ -605,10 +384,10 @@ void FullyFusedPipeline1d::run_batched_real(std::span<const float> u, std::span<
 
   auto& sc = counters_.stage("fused-fft-cgemm-ifft");
   sc.seconds = t.seconds();
-  sc.bytes_read = B * K * N * sizeof(float) + O * K * sizeof(c32);
-  sc.bytes_written = B * O * N * sizeof(float);
-  sc.flops = B * K * rfwd_->flops_per_signal() + trace::cgemm_flops(B * MR, O, K) +
-             B * O * rinv_->flops_per_signal();
+  sc.bytes_read = B * K * N * sizeof(S) + O * K * sizeof(c32);
+  sc.bytes_written = B * O * N * sizeof(S);
+  sc.flops = B * K * pl.fwd->flops_per_signal() + trace::cgemm_flops(B * M, O, K) +
+             B * O * pl.inv->flops_per_signal();
   sc.kernel_launches = 1;
 }
 

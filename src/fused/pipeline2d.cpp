@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <stdexcept>
 
-#include "fft/fft2d.hpp"
-#include "fft/plan_cache.hpp"
-#include "fft/real2d.hpp"
+#include "fused/fft_variant.hpp"
 #include "gemm/batched.hpp"
 #include "gemm/config.hpp"
 #include "runtime/parallel.hpp"
@@ -38,22 +35,6 @@ constexpr std::size_t kMidStagingBudgetBytes = 8u << 20;
 
 std::atomic<std::size_t> g_mid_group_override{0};
 
-fft::PlanDesc x_trunc_desc(const baseline::Spectral2dProblem& p) {
-  fft::PlanDesc d;
-  d.n = p.nx;
-  d.dir = fft::Direction::Forward;
-  d.keep = p.modes_x;
-  return d;
-}
-
-fft::PlanDesc x_pad_desc(const baseline::Spectral2dProblem& p) {
-  fft::PlanDesc d;
-  d.n = p.nx;
-  d.dir = fft::Direction::Inverse;
-  d.nonzero = p.modes_x;
-  return d;
-}
-
 }  // namespace
 
 void set_fused_mid_group(std::size_t g) noexcept {
@@ -62,10 +43,8 @@ void set_fused_mid_group(std::size_t g) noexcept {
 
 Pipeline2dBase::Pipeline2dBase(baseline::Spectral2dProblem prob, const char* counters_name)
     : prob_(prob),
-      fft_x_trunc_(fft::acquire_plan(x_trunc_desc(prob))),
-      ifft_x_pad_(fft::acquire_plan(x_pad_desc(prob))),
-      fwd_y_(prob.ny, prob.modes_y),
-      inv_y_(prob.ny, prob.modes_y),
+      x_complex_(ComplexLane::x_plans(prob.nx, prob.modes_x)),
+      y_(ComplexLane::plans(prob.ny, prob.modes_y)),
       counters_(counters_name) {
   prob_.validate();
   // The staging tiles are sized lazily by run_mid (one batch group each).
@@ -91,18 +70,19 @@ void Pipeline2dBase::reserve(std::size_t batch) {
   if (batch > prob_.batch) prob_.batch = batch;
 }
 
-void Pipeline2dBase::check_spans(std::span<const c32> u, std::span<c32> v,
-                                 std::size_t batch) const {
+template <class Lane>
+void Pipeline2dBase::check_spans(std::span<const typename Lane::Sample> u,
+                                 std::span<typename Lane::Sample> v, std::size_t batch) const {
   const std::size_t field = prob_.nx * prob_.ny;
   baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * field, prob_.out_dim * field,
-                              batch, "pipeline2d");
+                              batch, Lane::kWho2d);
 }
 
-void Pipeline2dBase::check_spans_real(std::span<const float> u, std::span<float> v,
-                                      std::size_t batch) const {
-  const std::size_t field = prob_.nx * prob_.ny;
-  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * field, prob_.out_dim * field,
-                              batch, "pipeline2d(real)");
+template <class Lane>
+const typename Lane::XPlans& Pipeline2dBase::x_plans() {
+  auto& p = Lane::pick(x_complex_, x_real_);
+  if (!p.fwd) p = Lane::x_plans(prob_.nx, Lane::kept(prob_.modes_x));
+  return p;
 }
 
 std::size_t Pipeline2dBase::mid_group(std::size_t batch) const noexcept {
@@ -173,7 +153,9 @@ void Pipeline2dBase::y_inverse_rows(const fft::FftPlan& plan, const MidView& mv,
   });
 }
 
-void Pipeline2dBase::run_mid(std::span<const c32> u, std::span<c32> v, std::size_t batch,
+template <class Lane>
+void Pipeline2dBase::run_mid(std::span<const typename Lane::Sample> u,
+                             std::span<typename Lane::Sample> v, std::size_t batch,
                              std::size_t group,
                              const std::function<void(const MidView&)>& middle) {
   const std::size_t B = batch;
@@ -181,12 +163,14 @@ void Pipeline2dBase::run_mid(std::span<const c32> u, std::span<c32> v, std::size
   const std::size_t O = prob_.out_dim;
   const std::size_t NX = prob_.nx;
   const std::size_t NY = prob_.ny;
-  const std::size_t MX = prob_.modes_x;
+  const std::size_t MX = Lane::kept(prob_.modes_x);
+  const auto& xp = x_plans<Lane>();
 
   // Stage one batch group of y-major X-spectra tiles at a time.  Each group
   // runs X -> middle -> inverse X back to back so the tiles are consumed
   // while still cache-resident; the parallel_for inside each phase keeps
-  // the worker pool busy (group * K * slab tasks).
+  // the worker pool busy (group * K * slab tasks).  Column spectra are
+  // packed MX apart; MX <= modes_x, so the staging covers both lanes.
   const std::size_t bg = std::max<std::size_t>(group, 1);
   ensure_mid_buffers(bg);
 
@@ -194,11 +178,10 @@ void Pipeline2dBase::run_mid(std::span<const c32> u, std::span<c32> v, std::size
     const std::size_t g = std::min(bg, B - b0);
     {
       runtime::Timer t;
-      fft::fft2d_x_stage_to_tiles(
-          *fft_x_trunc_, u.data() + b0 * K * NX * NY, g * K, NY,
-          [this, MX, NY](std::size_t f, std::size_t y0, std::size_t) {
-            return staging_in_.data() + (f * NY + y0) * MX;
-          });
+      Lane::x_to_tiles(xp, MX, u.data() + b0 * K * NX * NY, g * K, NY,
+                       [this, MX, NY](std::size_t f, std::size_t y0, std::size_t) {
+                         return staging_in_.data() + (f * NY + y0) * MX;
+                       });
       counters_.stage("fft-x-trunc").seconds += t.seconds();
     }
 
@@ -214,8 +197,8 @@ void Pipeline2dBase::run_mid(std::span<const c32> u, std::span<c32> v, std::size
 
     {
       runtime::Timer t;
-      fft::fft2d_x_stage_from_tiles(
-          *ifft_x_pad_,
+      Lane::x_from_tiles(
+          xp, MX,
           [this, MX, NY](std::size_t f, std::size_t y0, std::size_t) {
             return static_cast<const c32*>(staging_out_.data() + (f * NY + y0) * MX);
           },
@@ -228,83 +211,16 @@ void Pipeline2dBase::run_mid(std::span<const c32> u, std::span<c32> v, std::size
   // of the paper's shared-memory residency, so — like the fused kernels'
   // on-chip operands — they count zero global-memory traffic: the X stages
   // touch only the true global tensors u and v.
-  const std::uint64_t e = sizeof(c32);
+  const std::uint64_t e = sizeof(typename Lane::Sample);
   auto& sx = counters_.stage("fft-x-trunc");
   sx.bytes_read = B * K * NX * NY * e;
   sx.bytes_written = 0;
-  sx.flops = B * K * NY * fft_x_trunc_->flops_per_signal();
+  sx.flops = B * K * Lane::x_flops_per_field(*xp.fwd, MX, NY);
   sx.kernel_launches = 1;
   auto& si = counters_.stage("ifft-x-pad");
   si.bytes_read = 0;
   si.bytes_written = B * O * NX * NY * e;
-  si.flops = B * O * NY * ifft_x_pad_->flops_per_signal();
-  si.kernel_launches = 1;
-}
-
-void Pipeline2dBase::run_mid_real(std::span<const float> u, std::span<float> v,
-                                  std::size_t batch, std::size_t group,
-                                  const std::function<void(const MidView&)>& middle) {
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t NX = prob_.nx;
-  const std::size_t NY = prob_.ny;
-  const std::size_t MXR = real_modes_x();
-
-  // Identical group staging to run_mid, with the tiles' column spectra
-  // packed MXR apart (MXR <= MX, so the MX-sized staging covers them).
-  const std::size_t bg = std::max<std::size_t>(group, 1);
-  ensure_mid_buffers(bg);
-
-  for (std::size_t b0 = 0; b0 < B; b0 += bg) {
-    const std::size_t g = std::min(bg, B - b0);
-    {
-      runtime::Timer t;
-      fft::rfft2d_x_stage_to_tiles(
-          NX, MXR, u.data() + b0 * K * NX * NY, g * K, NY,
-          [this, MXR, NY](std::size_t f, std::size_t y0, std::size_t) {
-            return staging_in_.data() + (f * NY + y0) * MXR;
-          });
-      counters_.stage("fft-x-trunc").seconds += t.seconds();
-    }
-
-    MidView mv;
-    mv.in = staging_in_.data();
-    mv.out = staging_out_.data();
-    mv.count = g;
-    mv.y = MXR;
-    mv.chan = NY * MXR;
-    mv.in_b = K * NY * MXR;
-    mv.out_b = O * NY * MXR;
-    middle(mv);
-
-    {
-      runtime::Timer t;
-      fft::irfft2d_x_stage_from_tiles(
-          NX, MXR,
-          [this, MXR, NY](std::size_t f, std::size_t y0, std::size_t) {
-            return static_cast<const c32*>(staging_out_.data() + (f * NY + y0) * MXR);
-          },
-          v.data() + b0 * O * NX * NY, g * O, NY);
-      counters_.stage("ifft-x-pad").seconds += t.seconds();
-    }
-  }
-
-  // Closed-form per-run accounting.  The real X stages run one full-length
-  // packed C2C transform per column *pair* plus an O(MXR) untangle per
-  // column; field traffic is real floats, and — as in run_mid — the
-  // staging tiles count as on-chip (zero global bytes).
-  const auto fx = fft::acquire_plan({NX, fft::Direction::Forward});
-  const auto ix = fft::acquire_plan({NX, fft::Direction::Inverse});
-  auto& sx = counters_.stage("fft-x-trunc");
-  sx.bytes_read = B * K * NX * NY * sizeof(float);
-  sx.bytes_written = 0;
-  sx.flops = B * K * (NY / 2) * fx->flops_per_signal() + B * K * NY * 8 * MXR;
-  sx.kernel_launches = 1;
-  auto& si = counters_.stage("ifft-x-pad");
-  si.bytes_read = 0;
-  si.bytes_written = B * O * NX * NY * sizeof(float);
-  si.flops = B * O * (NY / 2) * ix->flops_per_signal() + B * O * NY * 8 * MXR;
+  si.flops = B * O * Lane::x_flops_per_field(*xp.inv, MX, NY);
   si.kernel_launches = 1;
 }
 
@@ -312,10 +228,6 @@ void Pipeline2dBase::run_mid_real(std::span<const float> u, std::span<float> v,
 
 FftOptPipeline2d::FftOptPipeline2d(baseline::Spectral2dProblem prob)
     : Pipeline2dBase(prob, "fftopt-2d") {}
-
-void FftOptPipeline2d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
 
 void FftOptPipeline2d::ensure_variant_buffers(std::size_t gcap) {
   const std::size_t modes = prob_.modes_x * prob_.modes_y;
@@ -340,7 +252,7 @@ void FftOptPipeline2d::middle_group(const MidView& mv, std::span<const c32> w,
   // Stage 2: truncated FFT along Y (unfused).
   {
     runtime::Timer t;
-    y_forward_rows(fwd_y_.plan(), mv, K, mx, MY, freq_.data());
+    y_forward_rows(*y_.fwd, mv, K, mx, MY, freq_.data());
     counters_.stage("fft-y-trunc").seconds += t.seconds();
   }
 
@@ -359,34 +271,43 @@ void FftOptPipeline2d::middle_group(const MidView& mv, std::span<const c32> w,
   // Stage 4: zero-padded iFFT along Y (unfused).
   {
     runtime::Timer t;
-    y_inverse_rows(inv_y_.plan(), mv, O, mx, MY, mixed_.data());
+    y_inverse_rows(*y_.inv, mv, O, mx, MY, mixed_.data());
     counters_.stage("ifft-y-pad").seconds += t.seconds();
   }
 }
 
 void FftOptPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> w,
-                        std::span<c32> v, std::size_t batch) {
-  check_spans(u, v, batch);
+                                  std::span<c32> v, std::size_t batch) {
+  run_lane<ComplexLane>(u, w, v, batch);
+}
+
+void FftOptPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
+                                       std::span<float> v, std::size_t batch) {
+  run_lane<RealLane>(u, w, v, batch);
+}
+
+template <class Lane>
+void FftOptPipeline2d::run_lane(std::span<const typename Lane::Sample> u, std::span<const c32> w,
+                               std::span<typename Lane::Sample> v, std::size_t batch) {
+  check_spans<Lane>(u, v, batch);
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t MX = prob_.modes_x;
+  const std::size_t MX = Lane::kept(prob_.modes_x);
   const std::size_t modes = MX * prob_.modes_y;
 
   const std::size_t gcap = mid_group(B);
   ensure_variant_buffers(gcap);
-
-  run_mid(u, v, B, gcap,
-          [&](const MidView& mv) { middle_group(mv, w, MX); });
+  run_mid<Lane>(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w, MX); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sy = counters_.stage("fft-y-trunc");
   sy.bytes_read = 0;
   sy.bytes_written = B * K * modes * e;
-  sy.flops = B * K * MX * fwd_y_.plan().flops_per_signal();
+  sy.flops = B * K * MX * y_.fwd->flops_per_signal();
   sy.kernel_launches = 1;
   auto& sg = counters_.stage("cgemm");
   sg.bytes_read = (B * K * modes + O * K) * e;
@@ -396,43 +317,7 @@ void FftOptPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> 
   auto& sp = counters_.stage("ifft-y-pad");
   sp.bytes_read = B * O * modes * e;
   sp.bytes_written = 0;
-  sp.flops = B * O * MX * inv_y_.plan().flops_per_signal();
-  sp.kernel_launches = 1;
-}
-
-void FftOptPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                        std::span<float> v, std::size_t batch) {
-  check_spans_real(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MXR = real_modes_x();
-  const std::size_t modes = MXR * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  ensure_variant_buffers(gcap);
-
-  run_mid_real(u, v, B, gcap,
-               [&](const MidView& mv) { middle_group(mv, w, MXR); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sy = counters_.stage("fft-y-trunc");
-  sy.bytes_read = 0;
-  sy.bytes_written = B * K * modes * e;
-  sy.flops = B * K * MXR * fwd_y_.plan().flops_per_signal();
-  sy.kernel_launches = 1;
-  auto& sg = counters_.stage("cgemm");
-  sg.bytes_read = (B * K * modes + O * K) * e;
-  sg.bytes_written = B * O * modes * e;
-  sg.flops = trace::cgemm_flops(B * modes, O, K);
-  sg.kernel_launches = 1;
-  auto& sp = counters_.stage("ifft-y-pad");
-  sp.bytes_read = B * O * modes * e;
-  sp.bytes_written = 0;
-  sp.flops = B * O * MXR * inv_y_.plan().flops_per_signal();
+  sp.flops = B * O * MX * y_.inv->flops_per_signal();
   sp.kernel_launches = 1;
 }
 
@@ -440,11 +325,6 @@ void FftOptPipeline2d::run_batched_real(std::span<const float> u, std::span<cons
 
 FusedFftGemmPipeline2d::FusedFftGemmPipeline2d(baseline::Spectral2dProblem prob)
     : Pipeline2dBase(prob, "fused-fft-gemm-2d") {}
-
-void FusedFftGemmPipeline2d::run(std::span<const c32> u, std::span<const c32> w,
-                                 std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
 
 void FusedFftGemmPipeline2d::ensure_variant_buffers(std::size_t gcap) {
   ensure(mixed_, gcap * prob_.out_dim * prob_.modes_x * prob_.modes_y);
@@ -478,11 +358,11 @@ void FusedFftGemmPipeline2d::middle_group(const MidView& mv, std::span<const c32
       auto& arena = runtime::tls_scratch();
       const auto scope = arena.scope();
       // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-      const std::span<c32> tile = arena.alloc<c32>(kTb * ld);
+      const std::span<c32> row = arena.alloc<c32>(ld);  // one channel's Y spectrum
       const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
       const std::span<float> acc = arena.alloc<float>(xb * 2 * O * ld);
       const std::span<c32> gbuf = arena.alloc<c32>(kTb * xb * NY);
-      const std::span<c32> work = arena.alloc<c32>(fwd_y_.plan().scratch_elems());
+      const std::span<c32> work = arena.alloc<c32>(y_.fwd->scratch_elems());
       // rank_update_split streams whole ld-wide rows, so the tile planes'
       // lane padding must be zero; the arena hands out raw storage.
       std::fill(tsplit.begin(), tsplit.end(), 0.0f);
@@ -499,9 +379,9 @@ void FusedFftGemmPipeline2d::middle_group(const MidView& mv, std::span<const c32
           for (std::size_t xi = 0; xi < xc; ++xi) {
             float* are = acc.data() + xi * 2 * O * ld;
             float* aim = are + O * ld;
-            fwd_y_.forward_tile(gbuf.data() + xi * NY, xb * NY, kc, tile.data(), ld, work);
             for (std::size_t kk = 0; kk < kc; ++kk) {
-              simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, MY);
+              y_.fwd->execute_one(gbuf.data() + (kk * xb + xi) * NY, 1, row.data(), 1, work);
+              simd::split_planes(row.data(), tre + kk * ld, tim + kk * ld, MY);
             }
             rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
           }
@@ -524,71 +404,48 @@ void FusedFftGemmPipeline2d::middle_group(const MidView& mv, std::span<const c32
   // Separate zero-padded iFFT along Y.
   {
     runtime::Timer t;
-    y_inverse_rows(inv_y_.plan(), mv, O, mx, MY, mixed_.data());
+    y_inverse_rows(*y_.inv, mv, O, mx, MY, mixed_.data());
     counters_.stage("ifft-y-pad").seconds += t.seconds();
   }
 }
 
 void FusedFftGemmPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> w,
-                        std::span<c32> v, std::size_t batch) {
-  check_spans(u, v, batch);
+                                        std::span<c32> v, std::size_t batch) {
+  run_lane<ComplexLane>(u, w, v, batch);
+}
+
+void FusedFftGemmPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
+                                             std::span<float> v, std::size_t batch) {
+  run_lane<RealLane>(u, w, v, batch);
+}
+
+template <class Lane>
+void FusedFftGemmPipeline2d::run_lane(std::span<const typename Lane::Sample> u, std::span<const c32> w,
+                                     std::span<typename Lane::Sample> v, std::size_t batch) {
+  check_spans<Lane>(u, v, batch);
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t MX = prob_.modes_x;
+  const std::size_t MX = Lane::kept(prob_.modes_x);
   const std::size_t modes = MX * prob_.modes_y;
 
   const std::size_t gcap = mid_group(B);
   ensure_variant_buffers(gcap);
-
-  run_mid(u, v, B, gcap,
-          [&](const MidView& mv) { middle_group(mv, w, MX); });
+  run_mid<Lane>(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w, MX); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sf = counters_.stage("fused-fft-cgemm");
   sf.bytes_read = O * K * e;
   sf.bytes_written = B * O * modes * e;
-  sf.flops = B * K * MX * fwd_y_.plan().flops_per_signal() + trace::cgemm_flops(B * modes, O, K);
+  sf.flops = B * K * MX * y_.fwd->flops_per_signal() + trace::cgemm_flops(B * modes, O, K);
   sf.kernel_launches = 1;
   auto& sp = counters_.stage("ifft-y-pad");
   sp.bytes_read = B * O * modes * e;
   sp.bytes_written = 0;
-  sp.flops = B * O * MX * inv_y_.plan().flops_per_signal();
-  sp.kernel_launches = 1;
-}
-
-void FusedFftGemmPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                              std::span<float> v, std::size_t batch) {
-  check_spans_real(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MXR = real_modes_x();
-  const std::size_t modes = MXR * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  ensure_variant_buffers(gcap);
-
-  run_mid_real(u, v, B, gcap,
-               [&](const MidView& mv) { middle_group(mv, w, MXR); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sf = counters_.stage("fused-fft-cgemm");
-  sf.bytes_read = O * K * e;
-  sf.bytes_written = B * O * modes * e;
-  sf.flops =
-      B * K * MXR * fwd_y_.plan().flops_per_signal() + trace::cgemm_flops(B * modes, O, K);
-  sf.kernel_launches = 1;
-  auto& sp = counters_.stage("ifft-y-pad");
-  sp.bytes_read = B * O * modes * e;
-  sp.bytes_written = 0;
-  sp.flops = B * O * MXR * inv_y_.plan().flops_per_signal();
+  sp.flops = B * O * MX * y_.inv->flops_per_signal();
   sp.kernel_launches = 1;
 }
 
@@ -596,11 +453,6 @@ void FusedFftGemmPipeline2d::run_batched_real(std::span<const float> u, std::spa
 
 FusedGemmIfftPipeline2d::FusedGemmIfftPipeline2d(baseline::Spectral2dProblem prob)
     : Pipeline2dBase(prob, "fused-gemm-ifft-2d") {}
-
-void FusedGemmIfftPipeline2d::run(std::span<const c32> u, std::span<const c32> w,
-                                  std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
 
 void FusedGemmIfftPipeline2d::ensure_variant_buffers(std::size_t gcap) {
   ensure(freq_, gcap * prob_.hidden * prob_.modes_x * prob_.modes_y);
@@ -623,7 +475,7 @@ void FusedGemmIfftPipeline2d::middle_group(const MidView& mv, std::span<const c3
   // Separate truncated FFT along Y.
   {
     runtime::Timer t;
-    y_forward_rows(fwd_y_.plan(), mv, K, mx, MY, freq_.data());
+    y_forward_rows(*y_.fwd, mv, K, mx, MY, freq_.data());
     counters_.stage("fft-y-trunc").seconds += t.seconds();
   }
 
@@ -644,7 +496,7 @@ void FusedGemmIfftPipeline2d::middle_group(const MidView& mv, std::span<const c3
       const std::span<float> acc = arena.alloc<float>(xb * 2 * O * ld);
       const std::span<c32> row = arena.alloc<c32>(ld);
       const std::span<c32> sbuf = arena.alloc<c32>(xb * NY);
-      const std::span<c32> work = arena.alloc<c32>(inv_y_.plan().scratch_elems());
+      const std::span<c32> work = arena.alloc<c32>(y_.inv->scratch_elems());
       std::fill(tsplit.begin(), tsplit.end(), 0.0f);
       float* tre = tsplit.data();
       float* tim = tre + kTb * ld;
@@ -674,7 +526,7 @@ void FusedGemmIfftPipeline2d::middle_group(const MidView& mv, std::span<const c3
             const float* are = acc.data() + xi * 2 * O * ld;
             const float* aim = are + O * ld;
             simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MY);
-            inv_y_.inverse_row(row.data(), sbuf.data() + xi * NY, work);
+            y_.inv->execute_one(row.data(), 1, sbuf.data() + xi * NY, 1, work);
           }
           scatter_xblock(mv, bl, o, x0, xc, NY, sbuf.data());
         }
@@ -686,64 +538,42 @@ void FusedGemmIfftPipeline2d::middle_group(const MidView& mv, std::span<const c3
 }
 
 void FusedGemmIfftPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> w,
-                        std::span<c32> v, std::size_t batch) {
-  check_spans(u, v, batch);
+                                         std::span<c32> v, std::size_t batch) {
+  run_lane<ComplexLane>(u, w, v, batch);
+}
+
+void FusedGemmIfftPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
+                                              std::span<float> v, std::size_t batch) {
+  run_lane<RealLane>(u, w, v, batch);
+}
+
+template <class Lane>
+void FusedGemmIfftPipeline2d::run_lane(std::span<const typename Lane::Sample> u, std::span<const c32> w,
+                                      std::span<typename Lane::Sample> v, std::size_t batch) {
+  check_spans<Lane>(u, v, batch);
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t MX = prob_.modes_x;
+  const std::size_t MX = Lane::kept(prob_.modes_x);
   const std::size_t modes = MX * prob_.modes_y;
 
   const std::size_t gcap = mid_group(B);
   ensure_variant_buffers(gcap);
-
-  run_mid(u, v, B, gcap,
-          [&](const MidView& mv) { middle_group(mv, w, MX); });
+  run_mid<Lane>(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w, MX); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sy = counters_.stage("fft-y-trunc");
   sy.bytes_read = 0;
   sy.bytes_written = B * K * modes * e;
-  sy.flops = B * K * MX * fwd_y_.plan().flops_per_signal();
+  sy.flops = B * K * MX * y_.fwd->flops_per_signal();
   sy.kernel_launches = 1;
   auto& sf = counters_.stage("fused-cgemm-ifft");
   sf.bytes_read = (B * K * modes + O * K) * e;
   sf.bytes_written = 0;
-  sf.flops = trace::cgemm_flops(B * modes, O, K) + B * O * MX * inv_y_.plan().flops_per_signal();
-  sf.kernel_launches = 1;
-}
-
-void FusedGemmIfftPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                               std::span<float> v, std::size_t batch) {
-  check_spans_real(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MXR = real_modes_x();
-  const std::size_t modes = MXR * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  ensure_variant_buffers(gcap);
-
-  run_mid_real(u, v, B, gcap,
-               [&](const MidView& mv) { middle_group(mv, w, MXR); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sy = counters_.stage("fft-y-trunc");
-  sy.bytes_read = 0;
-  sy.bytes_written = B * K * modes * e;
-  sy.flops = B * K * MXR * fwd_y_.plan().flops_per_signal();
-  sy.kernel_launches = 1;
-  auto& sf = counters_.stage("fused-cgemm-ifft");
-  sf.bytes_read = (B * K * modes + O * K) * e;
-  sf.bytes_written = 0;
-  sf.flops = trace::cgemm_flops(B * modes, O, K) + B * O * MXR * inv_y_.plan().flops_per_signal();
+  sf.flops = trace::cgemm_flops(B * modes, O, K) + B * O * MX * y_.inv->flops_per_signal();
   sf.kernel_launches = 1;
 }
 
@@ -751,10 +581,6 @@ void FusedGemmIfftPipeline2d::run_batched_real(std::span<const float> u, std::sp
 
 FullyFusedPipeline2d::FullyFusedPipeline2d(baseline::Spectral2dProblem prob)
     : Pipeline2dBase(prob, "fully-fused-2d") {}
-
-void FullyFusedPipeline2d::run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v) {
-  run_batched(u, w, v, prob_.batch);
-}
 
 void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> w,
                                         std::size_t mx) {
@@ -777,13 +603,12 @@ void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> 
     auto& arena = runtime::tls_scratch();
     const auto scope = arena.scope();
     // tfno-hot-begin: arena-scoped worker body (heap allocation forbidden)
-    const std::span<c32> tile = arena.alloc<c32>(kTb * ld);
     const std::span<float> tsplit = arena.alloc<float>(2 * kTb * ld);
     const std::span<float> acc = arena.alloc<float>(xb * 2 * O * ld);
     const std::span<c32> row = arena.alloc<c32>(ld);
     const std::span<c32> gbuf = arena.alloc<c32>(kTb * xb * NY);
     const std::span<c32> sbuf = arena.alloc<c32>(xb * NY);
-    const std::span<c32> work = arena.alloc<c32>(fwd_y_.plan().scratch_elems());
+    const std::span<c32> work = arena.alloc<c32>(y_.fwd->scratch_elems());
     // rank_update_split streams whole ld-wide rows, so the tile planes'
     // lane padding must be zero; the arena hands out raw storage.
     std::fill(tsplit.begin(), tsplit.end(), 0.0f);
@@ -800,9 +625,9 @@ void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> 
         for (std::size_t xi = 0; xi < xc; ++xi) {
           float* are = acc.data() + xi * 2 * O * ld;
           float* aim = are + O * ld;
-          fwd_y_.forward_tile(gbuf.data() + xi * NY, xb * NY, kc, tile.data(), ld, work);
           for (std::size_t kk = 0; kk < kc; ++kk) {
-            simd::split_planes(tile.data() + kk * ld, tre + kk * ld, tim + kk * ld, MY);
+            y_.fwd->execute_one(gbuf.data() + (kk * xb + xi) * NY, 1, row.data(), 1, work);
+            simd::split_planes(row.data(), tre + kk * ld, tim + kk * ld, MY);
           }
           rank_update_split(are, aim, w.data(), K, k0, tre, tim, ld, O, kc);
         }
@@ -812,7 +637,7 @@ void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> 
           const float* are = acc.data() + xi * 2 * O * ld;
           const float* aim = are + O * ld;
           simd::interleave_planes(are + o * ld, aim + o * ld, row.data(), MY);
-          inv_y_.inverse_row(row.data(), sbuf.data() + xi * NY, work);
+          y_.inv->execute_one(row.data(), 1, sbuf.data() + xi * NY, 1, work);
         }
         scatter_xblock(mv, bl, o, x0, xc, NY, sbuf.data());
       }
@@ -823,54 +648,37 @@ void FullyFusedPipeline2d::middle_group(const MidView& mv, std::span<const c32> 
 }
 
 void FullyFusedPipeline2d::run_batched(std::span<const c32> u, std::span<const c32> w,
-                        std::span<c32> v, std::size_t batch) {
-  check_spans(u, v, batch);
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t MX = prob_.modes_x;
-  const std::size_t modes = MX * prob_.modes_y;
-
-  const std::size_t gcap = mid_group(B);
-  run_mid(u, v, B, gcap,
-          [&](const MidView& mv) { middle_group(mv, w, MX); });
-
-  const std::uint64_t e = sizeof(c32);
-  auto& sf = counters_.stage("fused-fft-cgemm-ifft");
-  sf.bytes_read = O * K * e;
-  sf.bytes_written = 0;
-  sf.flops = B * K * MX * fwd_y_.plan().flops_per_signal() +
-             trace::cgemm_flops(B * modes, O, K) +
-             B * O * MX * inv_y_.plan().flops_per_signal();
-  sf.kernel_launches = 1;
+                                      std::span<c32> v, std::size_t batch) {
+  run_lane<ComplexLane>(u, w, v, batch);
 }
 
 void FullyFusedPipeline2d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                            std::span<float> v, std::size_t batch) {
-  check_spans_real(u, v, batch);
+                                           std::span<float> v, std::size_t batch) {
+  run_lane<RealLane>(u, w, v, batch);
+}
+
+template <class Lane>
+void FullyFusedPipeline2d::run_lane(std::span<const typename Lane::Sample> u, std::span<const c32> w,
+                                   std::span<typename Lane::Sample> v, std::size_t batch) {
+  check_spans<Lane>(u, v, batch);
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
-  const std::size_t MXR = real_modes_x();
-  const std::size_t modes = MXR * prob_.modes_y;
+  const std::size_t MX = Lane::kept(prob_.modes_x);
+  const std::size_t modes = MX * prob_.modes_y;
 
   const std::size_t gcap = mid_group(B);
-  run_mid_real(u, v, B, gcap,
-               [&](const MidView& mv) { middle_group(mv, w, MXR); });
+  run_mid<Lane>(u, v, B, gcap, [&](const MidView& mv) { middle_group(mv, w, MX); });
 
   const std::uint64_t e = sizeof(c32);
   auto& sf = counters_.stage("fused-fft-cgemm-ifft");
   sf.bytes_read = O * K * e;
   sf.bytes_written = 0;
-  sf.flops = B * K * MXR * fwd_y_.plan().flops_per_signal() +
-             trace::cgemm_flops(B * modes, O, K) +
-             B * O * MXR * inv_y_.plan().flops_per_signal();
+  sf.flops = B * K * MX * y_.fwd->flops_per_signal() + trace::cgemm_flops(B * modes, O, K) +
+             B * O * MX * y_.inv->flops_per_signal();
   sf.kernel_launches = 1;
 }
 

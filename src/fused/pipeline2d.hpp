@@ -13,16 +13,21 @@
 // (fft::fft2d_x_stage_from_tiles).  The full [B*K*mx*ny] intermediate is
 // never written or re-read, and both X-stage transposes next to it
 // disappear.
+//
+// Both spectral lanes (fused/lane.hpp) share that schedule: run_mid<Lane>
+// drives the lane's X stages (the real lane's are the two-for-one R2C/C2R
+// column-pair stages keeping modes_x/2+1 x-rows), the Y axis is complex on
+// both, and each variant writes its middle and its closed-form counters
+// once, in run_lane<Lane>.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <span>
 
 #include "baseline/problem.hpp"
 #include "fft/plan.hpp"
-#include "fused/fft_variant.hpp"
+#include "fused/lane.hpp"
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/complex.hpp"
 #include "trace/counters.hpp"
@@ -56,8 +61,8 @@ class Pipeline2dBase {
   /// Strided view of one batch group's y-major staging tiles.  Rows are
   /// addressed as (bl, channel, x) with bl local to the group; consecutive
   /// x rows are adjacent and `y` is the distance between a row's y samples
-  /// (the x extent of the tiles: modes_x, or real_modes_x() on the real
-  /// lane).  Variant middle stages are written once against this view.
+  /// (the x extent of the tiles: the lane's kept(modes_x)).  Variant middle
+  /// stages are written once against this view.
   struct MidView {
     const c32* in = nullptr;  // post-X spectra, group base
     c32* out = nullptr;       // pre-inverse-X spectra, group base
@@ -75,26 +80,17 @@ class Pipeline2dBase {
     }
   };
 
-  /// Runs X stage -> middle -> inverse X stage over `batch` elements,
-  /// `group` batch elements at a time (sampled once by the caller from
-  /// mid_group(), so one run never disagrees with the caller's group-sized
-  /// buffers).  `middle` is invoked once per batch group and must only
-  /// accumulate stage *timings* — byte/FLOP counters are closed-form per
-  /// run and belong to the caller.
-  void run_mid(std::span<const c32> u, std::span<c32> v, std::size_t batch, std::size_t group,
+  /// Runs `Lane`'s X stage -> middle -> inverse X stage over `batch`
+  /// elements, `group` batch elements at a time (sampled once by the caller
+  /// from mid_group(), so one run never disagrees with the caller's
+  /// group-sized buffers).  `middle` is invoked once per batch group and
+  /// must only accumulate stage *timings* — byte/FLOP counters are
+  /// closed-form per run and belong to the caller (run_mid writes the X
+  /// stages' own).
+  template <class Lane>
+  void run_mid(std::span<const typename Lane::Sample> u, std::span<typename Lane::Sample> v,
+               std::size_t batch, std::size_t group,
                const std::function<void(const MidView&)>& middle);
-
-  /// Real-spectral twin of run_mid: the X stages are the two-for-one R2C /
-  /// C2R column-pair stages (fft/real2d.hpp) keeping real_modes_x() x-rows,
-  /// and the MidView strides are laid out for that narrower extent.  The
-  /// same `middle` callables work on both lanes — they read every extent
-  /// from the view (plus the mx the variant passes alongside).
-  void run_mid_real(std::span<const float> u, std::span<float> v, std::size_t batch,
-                    std::size_t group, const std::function<void(const MidView&)>& middle);
-
-  /// X-rows the real lane keeps: modes_x/2+1 RFFT bins (<= modes_x, so
-  /// every MX-sized workspace covers the real layout).
-  [[nodiscard]] std::size_t real_modes_x() const noexcept { return prob_.modes_x / 2 + 1; }
 
   /// Batch elements staged per middle group: the override when one is set,
   /// otherwise as many as keep the in+out staging tiles within a cache
@@ -127,8 +123,14 @@ class Pipeline2dBase {
 
   /// Throws when the caller's buffers cannot hold `batch` fields (capacity
   /// itself is elastic; see reserve).
-  void check_spans(std::span<const c32> u, std::span<c32> v, std::size_t batch) const;
-  void check_spans_real(std::span<const float> u, std::span<float> v, std::size_t batch) const;
+  template <class Lane>
+  void check_spans(std::span<const typename Lane::Sample> u,
+                   std::span<typename Lane::Sample> v, std::size_t batch) const;
+
+  /// `Lane`'s X-stage plans: the complex lane's acquired at construction,
+  /// the real lane's on first use (its X stage requires nx >= 4).
+  template <class Lane>
+  const typename Lane::XPlans& x_plans();
 
   /// Grow-only (re)allocation for the lazily sized schedule buffers.
   static void ensure(AlignedBuffer<c32>& buf, std::size_t elems) {
@@ -140,12 +142,11 @@ class Pipeline2dBase {
   void ensure_mid_buffers(std::size_t group);
 
   baseline::Spectral2dProblem prob_;
-  // X-stage plans come from the process-wide cache so concurrent pipelines
-  // (one per serving-layer model) share them.
-  std::shared_ptr<const fft::FftPlan> fft_x_trunc_;
-  std::shared_ptr<const fft::FftPlan> ifft_x_pad_;
-  KLoopFft fwd_y_;      // truncated FFT along Y feeding the GEMM k-loop
-  EpilogueIfft inv_y_;  // zero-padded iFFT along Y (CGEMM epilogue)
+  ComplexLane::XPlans x_complex_;
+  RealLane::XPlans x_real_;
+  // Y stays complex on both lanes: the truncated FFT feeding the GEMM
+  // k-loop and the zero-padded iFFT of the CGEMM epilogue.
+  ComplexLane::Plans y_;
   // Staging tiles, lazily sized by run_mid: one batch group in y-major
   // order.
   AlignedBuffer<c32> staging_in_;   // [bg, K, ny, mx] y-major tiles
@@ -157,7 +158,6 @@ class Pipeline2dBase {
 class FftOptPipeline2d : public Pipeline2dBase {
  public:
   explicit FftOptPipeline2d(baseline::Spectral2dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
                    std::size_t batch);
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
@@ -165,10 +165,12 @@ class FftOptPipeline2d : public Pipeline2dBase {
   void reserve(std::size_t batch);  // also pre-sizes freq_/mixed_
 
  private:
+  template <class Lane>
+  void run_lane(std::span<const typename Lane::Sample> u, std::span<const c32> w,
+                std::span<typename Lane::Sample> v, std::size_t batch);
   void ensure_variant_buffers(std::size_t gcap);  // single sizing authority
-  // One group's Y-FFT -> CGEMM -> Y-iFFT middle, shared by both spectral
-  // lanes: `mx` is the x-extent of the group's spectra (modes_x on the
-  // complex lane, real_modes_x() on the real lane).
+  // One group's Y-FFT -> CGEMM -> Y-iFFT middle: `mx` is the x-extent of
+  // the group's spectra (the lane's kept(modes_x)).
   void middle_group(const MidView& mv, std::span<const c32> w, std::size_t mx);
 
   AlignedBuffer<c32> freq_;   // [group, K, mx, my]
@@ -179,7 +181,6 @@ class FftOptPipeline2d : public Pipeline2dBase {
 class FusedFftGemmPipeline2d : public Pipeline2dBase {
  public:
   explicit FusedFftGemmPipeline2d(baseline::Spectral2dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
                    std::size_t batch);
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
@@ -187,6 +188,9 @@ class FusedFftGemmPipeline2d : public Pipeline2dBase {
   void reserve(std::size_t batch);  // also pre-sizes mixed_
 
  private:
+  template <class Lane>
+  void run_lane(std::span<const typename Lane::Sample> u, std::span<const c32> w,
+                std::span<typename Lane::Sample> v, std::size_t batch);
   void ensure_variant_buffers(std::size_t gcap);
   void middle_group(const MidView& mv, std::span<const c32> w, std::size_t mx);
 
@@ -197,7 +201,6 @@ class FusedFftGemmPipeline2d : public Pipeline2dBase {
 class FusedGemmIfftPipeline2d : public Pipeline2dBase {
  public:
   explicit FusedGemmIfftPipeline2d(baseline::Spectral2dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
                    std::size_t batch);
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
@@ -205,6 +208,9 @@ class FusedGemmIfftPipeline2d : public Pipeline2dBase {
   void reserve(std::size_t batch);  // also pre-sizes freq_
 
  private:
+  template <class Lane>
+  void run_lane(std::span<const typename Lane::Sample> u, std::span<const c32> w,
+                std::span<typename Lane::Sample> v, std::size_t batch);
   void ensure_variant_buffers(std::size_t gcap);
   void middle_group(const MidView& mv, std::span<const c32> w, std::size_t mx);
 
@@ -216,13 +222,15 @@ class FusedGemmIfftPipeline2d : public Pipeline2dBase {
 class FullyFusedPipeline2d : public Pipeline2dBase {
  public:
   explicit FullyFusedPipeline2d(baseline::Spectral2dProblem prob);
-  void run(std::span<const c32> u, std::span<const c32> w, std::span<c32> v);
   void run_batched(std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
                    std::size_t batch);
   void run_batched_real(std::span<const float> u, std::span<const c32> w, std::span<float> v,
                         std::size_t batch);
 
  private:
+  template <class Lane>
+  void run_lane(std::span<const typename Lane::Sample> u, std::span<const c32> w,
+                std::span<typename Lane::Sample> v, std::size_t batch);
   void middle_group(const MidView& mv, std::span<const c32> w, std::size_t mx);
 };
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fft/opcount.hpp"
@@ -56,6 +57,18 @@ TEST_P(CounterLaws1d, FullyFusedBytesFormula) {
   EXPECT_EQ(t.bytes_read, (p.input_elems() + p.weight_elems()) * sizeof(c32));
   EXPECT_EQ(t.bytes_written, p.output_elems() * sizeof(c32));
   EXPECT_EQ(t.kernel_launches, 1u);
+
+  // The real lane moves float samples in and out; the weights stay complex.
+  std::vector<float> ur(p.input_elems());
+  for (std::size_t i = 0; i < ur.size(); ++i) ur[i] = static_cast<float>(i % 5) - 2.0f;
+  const auto w = random_signal(p.weight_elems(), 3005u);
+  std::vector<float> vr(p.output_elems());
+  auto pipe = make_pipeline1d(Variant::FullyFused, p);
+  pipe->run_batched_real(ur, w, vr, p.batch);
+  const auto tr = pipe->counters().total();
+  EXPECT_EQ(tr.bytes_read, p.input_elems() * sizeof(float) + p.weight_elems() * sizeof(c32));
+  EXPECT_EQ(tr.bytes_written, p.output_elems() * sizeof(float));
+  EXPECT_EQ(tr.kernel_launches, 1u);
 }
 
 TEST_P(CounterLaws1d, FusedFlopsDecomposition) {
@@ -157,40 +170,66 @@ INSTANTIATE_TEST_SUITE_P(ShapeGrid, CounterLaws2d,
 // equals the prefix of a full run) and (b) its position in the batch.  Any
 // cross-request state leak in a pipeline breaks one of these.
 
-bool same_bits(std::span<const c32> a, std::span<const c32> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(c32)) == 0;
+template <class T>
+bool same_bits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+std::vector<float> real_signal(std::size_t n, unsigned seed) {
+  const auto z = random_signal(n, seed);
+  std::vector<float> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = z[i].re;
+  return x;
+}
+
+// Checks both invariances for one lane: `run(u, v, b)` runs the first b
+// requests of u into v.
+template <class T, class Run>
+void expect_batch_invariant(const Run& run, std::span<const T> u, std::size_t batch,
+                            std::size_t in_stride, std::size_t out_stride,
+                            const std::string& what) {
+  std::vector<T> full(batch * out_stride);
+  run(u, std::span<T>(full), batch);
+
+  // Prefix runs equal prefixes of the full run (batch-dimension linearity).
+  for (std::size_t b = 1; b < batch; ++b) {
+    std::vector<T> prefix(b * out_stride);
+    run(u.first(b * in_stride), std::span<T>(prefix), b);
+    EXPECT_TRUE(same_bits<T>(prefix, std::span<const T>(full).first(b * out_stride)))
+        << what << " prefix batch " << b;
+  }
+
+  // Each request alone reproduces its slice (position invariance).
+  for (std::size_t b = 0; b < batch; ++b) {
+    std::vector<T> one(out_stride);
+    run(u.subspan(b * in_stride, in_stride), std::span<T>(one), 1);
+    EXPECT_TRUE(
+        same_bits<T>(one, std::span<const T>(full).subspan(b * out_stride, out_stride)))
+        << what << " request " << b;
+  }
 }
 
 TEST(BatchedEntry1d, EachRequestBitwiseInvariantToBatchCompositionAllVariants) {
   const Spectral1dProblem p{4, 8, 6, 64, 16};
   const auto u = random_signal(p.input_elems(), 4001u);
+  const auto ur = real_signal(p.input_elems(), 4002u);
   const auto w = random_signal(p.weight_elems(), 4003u);
   const std::size_t in_stride = p.hidden * p.n;
   const std::size_t out_stride = p.out_dim * p.n;
-  const std::span<const c32> uspan{u};
 
   for (const auto var : kAllVariants) {
     auto pipe = make_pipeline1d(var, p);
-    std::vector<c32> full(p.output_elems());
-    pipe->run_batched(u, w, full, p.batch);
-
-    // Prefix runs equal prefixes of the full run (batch-dimension linearity).
-    for (std::size_t b = 1; b < p.batch; ++b) {
-      std::vector<c32> prefix(b * out_stride);
-      pipe->run_batched(uspan.first(b * in_stride), w, prefix, b);
-      EXPECT_TRUE(same_bits(prefix, std::span<const c32>(full).first(b * out_stride)))
-          << variant_name(var) << " prefix batch " << b;
-    }
-
-    // Each request alone reproduces its slice (position invariance).
-    for (std::size_t b = 0; b < p.batch; ++b) {
-      std::vector<c32> one(out_stride);
-      pipe->run_batched(uspan.subspan(b * in_stride, in_stride), w, one, 1);
-      EXPECT_TRUE(same_bits(
-          one, std::span<const c32>(full).subspan(b * out_stride, out_stride)))
-          << variant_name(var) << " request " << b;
-    }
+    const std::string name(variant_name(var));
+    expect_batch_invariant<c32>(
+        [&](std::span<const c32> in, std::span<c32> out, std::size_t b) {
+          pipe->run_batched(in, w, out, b);
+        },
+        u, p.batch, in_stride, out_stride, name);
+    expect_batch_invariant<float>(
+        [&](std::span<const float> in, std::span<float> out, std::size_t b) {
+          pipe->run_batched_real(in, w, out, b);
+        },
+        ur, p.batch, in_stride, out_stride, name + " (real)");
   }
 }
 
@@ -214,7 +253,7 @@ TEST(BatchedEntry1d, PermutedBatchPermutesOutputsBitwise) {
   std::vector<c32> out_perm(p.output_elems());
   pipe->run_batched(u_perm, w, out_perm, p.batch);
   for (std::size_t b = 0; b < p.batch; ++b) {
-    EXPECT_TRUE(same_bits(
+    EXPECT_TRUE(same_bits<c32>(
         std::span<const c32>(out_perm).subspan(b * out_stride, out_stride),
         std::span<const c32>(base).subspan(perm[b] * out_stride, out_stride)))
         << "slot " << b;
@@ -238,29 +277,24 @@ TEST(BatchedEntry1d, OverCapacityThrowsAndZeroIsANoOp) {
 TEST(BatchedEntry2d, EachRequestBitwiseInvariantToBatchCompositionAllVariants) {
   const Spectral2dProblem p{3, 8, 8, 16, 16, 4, 4};
   const auto u = random_signal(p.input_elems(), 4031u);
+  const auto ur = real_signal(p.input_elems(), 4032u);
   const auto w = random_signal(p.weight_elems(), 4033u);
   const std::size_t in_stride = p.hidden * p.nx * p.ny;
   const std::size_t out_stride = p.out_dim * p.nx * p.ny;
-  const std::span<const c32> uspan{u};
 
   for (const auto var : kAllVariants) {
     auto pipe = make_pipeline2d(var, p);
-    std::vector<c32> full(p.output_elems());
-    pipe->run_batched(u, w, full, p.batch);
-
-    for (std::size_t b = 1; b < p.batch; ++b) {
-      std::vector<c32> prefix(b * out_stride);
-      pipe->run_batched(uspan.first(b * in_stride), w, prefix, b);
-      EXPECT_TRUE(same_bits(prefix, std::span<const c32>(full).first(b * out_stride)))
-          << variant_name(var) << " prefix batch " << b;
-    }
-    for (std::size_t b = 0; b < p.batch; ++b) {
-      std::vector<c32> one(out_stride);
-      pipe->run_batched(uspan.subspan(b * in_stride, in_stride), w, one, 1);
-      EXPECT_TRUE(same_bits(
-          one, std::span<const c32>(full).subspan(b * out_stride, out_stride)))
-          << variant_name(var) << " request " << b;
-    }
+    const std::string name(variant_name(var));
+    expect_batch_invariant<c32>(
+        [&](std::span<const c32> in, std::span<c32> out, std::size_t b) {
+          pipe->run_batched(in, w, out, b);
+        },
+        u, p.batch, in_stride, out_stride, name);
+    expect_batch_invariant<float>(
+        [&](std::span<const float> in, std::span<float> out, std::size_t b) {
+          pipe->run_batched_real(in, w, out, b);
+        },
+        ur, p.batch, in_stride, out_stride, name + " (real)");
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <utility>
 #include <vector>
@@ -260,6 +261,64 @@ TEST_P(RealLadder2d, MatchesDirectReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ladder, RealLadder2d, ::testing::ValuesIn(real_cases_2d()));
+
+// ------------------------------------------------------- lane interleaving
+//
+// Both lanes share every workspace of one pipeline instance, so running
+// complex, then real, then complex on it must leave each output bitwise
+// equal to a fresh instance's: no lane may read state the other left
+// behind.  The middle run also grows the capacity past the construction
+// batch, and the 2D case stages two-element groups.
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+template <class Make, class Pipe>
+void expect_lanes_interleave(const Make& make, Pipe& pipe, std::size_t in_per, std::size_t out_per,
+                             std::size_t batch) {
+  const auto uc = random_signal(batch * in_per, 811u);
+  const auto ur = random_reals(batch * in_per, 813u);
+  const auto w = random_signal(pipe.problem().hidden * pipe.problem().out_dim, 817u);
+  std::vector<c32> want_c(batch * out_per);
+  std::vector<float> want_r(batch * out_per);
+  make()->run_batched(uc, w, want_c, batch);
+  make()->run_batched_real(ur, w, want_r, batch);
+
+  std::vector<c32> c1(want_c.size());
+  std::vector<float> r(want_r.size());
+  std::vector<c32> c2(want_c.size());
+  pipe.run_batched(uc, w, c1, batch);
+  pipe.run_batched_real(ur, w, r, batch);
+  pipe.run_batched(uc, w, c2, batch);
+  EXPECT_TRUE(same_bits(c1, want_c)) << pipe.name() << " complex (first)";
+  EXPECT_TRUE(same_bits(r, want_r)) << pipe.name() << " real";
+  EXPECT_TRUE(same_bits(c2, want_c)) << pipe.name() << " complex (after real)";
+}
+
+TEST(LaneInterleaving, Pipeline1dComplexRealComplexMatchesFreshInstances) {
+  const Spectral1dProblem p{2, 9, 7, 64, 16};  // hidden not a multiple of k_tb
+  const std::size_t batch = 3;
+  for (const auto v : kAllVariants) {
+    const auto make = [&] { return make_pipeline1d(v, p); };
+    auto pipe = make();
+    expect_lanes_interleave(make, *pipe, p.hidden * p.n, p.out_dim * p.n, batch);
+  }
+}
+
+TEST(LaneInterleaving, Pipeline2dComplexRealComplexMatchesFreshInstances) {
+  const Spectral2dProblem p{2, 6, 6, 16, 16, 6, 6};
+  const std::size_t batch = 3;
+  const GroupGuard guard;
+  set_fused_mid_group(2);
+  for (const auto v : kAllVariants) {
+    const auto make = [&] { return make_pipeline2d(v, p); };
+    auto pipe = make();
+    expect_lanes_interleave(make, *pipe, p.hidden * p.nx * p.ny, p.out_dim * p.nx * p.ny,
+                            batch);
+  }
+}
 
 // ------------------------------------------------- layer + model level
 

@@ -452,8 +452,8 @@ TEST(SimdFft, PrunedPlansOddFiltering) {
 // ---------------------------------------------------------- fused rank update
 
 TEST(SimdFused, RankUpdateSplitMatchesInterleaved) {
-  // Odd m forces lane padding in the split path; both must agree with the
-  // plain interleaved update.
+  // Odd m forces lane padding in the split path; it must agree with the
+  // plain interleaved update C += W[:, k0 .. k0+kc) * At.
   for (const std::size_t m : {1u, 5u, 8u, 13u, 33u, 64u}) {
     const std::size_t out_dim = 6;
     const std::size_t hidden = 12;
@@ -465,9 +465,10 @@ TEST(SimdFused, RankUpdateSplitMatchesInterleaved) {
     const std::vector<c32> At = random_signal(kc * m, 601u);
     std::vector<c32> C = random_signal(out_dim * m, 602u);
 
-    // Interleaved oracle.
+    // Interleaved oracle: the naive reference GEMM with beta = 1.
     std::vector<c32> want = C;
-    fused::rank_update(want.data(), m, W.data(), hidden, k0, At.data(), m, out_dim, m, kc);
+    gemm::cgemm_reference(out_dim, m, kc, c32{1.0f, 0.0f}, W.data() + k0, hidden, At.data(), m,
+                          c32{1.0f, 0.0f}, want.data(), m);
 
     // Split path with zero-padded planes.
     AlignedBuffer<float> tsplit(2 * kc * ld);
