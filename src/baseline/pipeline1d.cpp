@@ -1,35 +1,16 @@
 #include "baseline/pipeline1d.hpp"
 
-#include <stdexcept>
+#include <tuple>
 
 #include "baseline/memcopy_stages.hpp"
-#include "fft/plan_cache.hpp"
 #include "gemm/batched.hpp"
 #include "runtime/timer.hpp"
 
 namespace turbofno::baseline {
 
-namespace {
-
-fft::PlanDesc full_desc(std::size_t n, fft::Direction dir) {
-  fft::PlanDesc d;
-  d.n = n;
-  d.dir = dir;
-  return d;
-}
-
-void check_spans(const Spectral1dProblem& prob, std::span<const c32> u, std::span<c32> v,
-                 std::size_t batch) {
-  check_batch_spans(u.size(), v.size(), prob.hidden * prob.n, prob.out_dim * prob.n, batch,
-                    "BaselinePipeline1d");
-}
-
-}  // namespace
-
 BaselinePipeline1d::BaselinePipeline1d(Spectral1dProblem prob)
     : prob_(prob),
-      fwd_full_(fft::acquire_plan(full_desc(prob.n, fft::Direction::Forward))),
-      inv_full_(fft::acquire_plan(full_desc(prob.n, fft::Direction::Inverse))) {
+      complex_plans_(fused::ComplexLane::plans(prob.n, fused::ComplexLane::kept(prob.n))) {
   prob_.validate();
   freq_full_.resize(prob_.batch * prob_.hidden * prob_.n);
   freq_trunc_.resize(prob_.batch * prob_.hidden * prob_.modes);
@@ -53,30 +34,48 @@ void BaselinePipeline1d::reserve(std::size_t batch) {
 
 void BaselinePipeline1d::run_batched(std::span<const c32> u, std::span<const c32> w,
                                      std::span<c32> v, std::size_t batch) {
-  check_spans(prob_, u, v, batch);
+  run_lane<fused::ComplexLane>(u, w, v, batch);
+}
+
+void BaselinePipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
+                                          std::span<float> v, std::size_t batch) {
+  run_lane<fused::RealLane>(u, w, v, batch);
+}
+
+template <class Lane>
+void BaselinePipeline1d::run_lane(std::span<const typename Lane::Sample> u,
+                                  std::span<const c32> w, std::span<typename Lane::Sample> v,
+                                  std::size_t batch) {
+  using S = typename Lane::Sample;
+  check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n, prob_.out_dim * prob_.n, batch,
+                    Lane::pick("BaselinePipeline1d", "BaselinePipeline1d(real)"));
+  auto& pl = Lane::pick(complex_plans_, real_plans_);
+  if (!pl.fwd) pl = Lane::plans(prob_.n, Lane::kept(prob_.n));  // every bin stored
   reserve(batch);
   counters_.clear();
   if (batch == 0) return;
-  const auto [B, K, O, N, M] =
-      std::tuple{batch, prob_.hidden, prob_.out_dim, prob_.n, prob_.modes};
+  const auto [B, K, O, N] = std::tuple{batch, prob_.hidden, prob_.out_dim, prob_.n};
+  const std::size_t F = Lane::kept(N);            // full spectrum per signal: n or n/2+1
+  const std::size_t M = Lane::kept(prob_.modes);  // bins the lane keeps
 
-  // Stage 1: full forward FFT of every (batch, channel) signal.
+  // Stage 1: full forward FFT of every (batch, channel) signal (no built-in
+  // filtering, all bins stored).
   {
     runtime::Timer t;
-    fwd_full_->execute(u, freq_full_.span(), B * K);
+    pl.fwd->execute(u.first(B * K * N), freq_full_.span().first(B * K * F), B * K);
     auto& sc = counters_.stage("fft");
     sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(c32);
-    sc.bytes_written = B * K * N * sizeof(c32);
-    sc.flops = B * K * fwd_full_->flops_per_signal();
+    sc.bytes_read = B * K * N * sizeof(S);
+    sc.bytes_written = B * K * F * sizeof(c32);
+    sc.flops = B * K * pl.fwd->flops_per_signal();
     sc.kernel_launches = 1;
   }
 
   // Stage 2: truncate memcopy (cuFFT has no built-in filtering).
   {
     runtime::Timer t;
-    truncate_copy(freq_full_.span(), freq_trunc_.span(), B * K, N, M,
-                  &counters_.stage("truncate-copy"));
+    truncate_copy(freq_full_.span().first(B * K * F), freq_trunc_.span().first(B * K * M), B * K,
+                  F, M, &counters_.stage("truncate-copy"));
     counters_.stage("truncate-copy").seconds = t.seconds();
   }
 
@@ -98,96 +97,24 @@ void BaselinePipeline1d::run_batched(std::span<const c32> u, std::span<const c32
     sc.kernel_launches = 1;  // one strided-batched cuBLAS call
   }
 
-  // Stage 4: zero-pad memcopy back to full length.
+  // Stage 4: zero-pad memcopy back to the full spectrum.
   {
     runtime::Timer t;
-    pad_copy(mixed_.span(), mixed_full_.span(), B * O, M, N, &counters_.stage("pad-copy"));
+    pad_copy(mixed_.span().first(B * O * M), mixed_full_.span().first(B * O * F), B * O, M, F,
+             &counters_.stage("pad-copy"));
     counters_.stage("pad-copy").seconds = t.seconds();
   }
 
-  // Stage 5: full inverse FFT.
+  // Stage 5: full inverse FFT (the real lane's C2R adds the Hermitian
+  // extension).
   {
     runtime::Timer t;
-    inv_full_->execute(mixed_full_.span(), v, B * O);
+    pl.inv->execute(mixed_full_.span().first(B * O * F), v.first(B * O * N), B * O);
     auto& sc = counters_.stage("ifft");
     sc.seconds = t.seconds();
-    sc.bytes_read = B * O * N * sizeof(c32);
-    sc.bytes_written = B * O * N * sizeof(c32);
-    sc.flops = B * O * inv_full_->flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-}
-
-void BaselinePipeline1d::run_batched_real(std::span<const float> u, std::span<const c32> w,
-                                          std::span<float> v, std::size_t batch) {
-  check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n, prob_.out_dim * prob_.n, batch,
-                    "BaselinePipeline1d(real)");
-  if (!rfwd_full_) {
-    rinv_full_ = fft::acquire_irfft_plan(prob_.n);  // all n/2+1 bins stored
-    rfwd_full_ = fft::acquire_rfft_plan(prob_.n);
-  }
-  reserve(batch);
-  counters_.clear();
-  if (batch == 0) return;
-  const auto [B, K, O, N, M] =
-      std::tuple{batch, prob_.hidden, prob_.out_dim, prob_.n, prob_.modes};
-  const std::size_t HALF = N / 2 + 1;   // full RFFT output per signal
-  const std::size_t MR = M / 2 + 1;     // bins the real lane keeps
-
-  // Stage 1: full forward RFFT (no built-in filtering, all bins stored).
-  {
-    runtime::Timer t;
-    rfwd_full_->execute(u.first(B * K * N), freq_full_.span().first(B * K * HALF), B * K);
-    auto& sc = counters_.stage("fft");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * K * N * sizeof(float);
-    sc.bytes_written = B * K * HALF * sizeof(c32);
-    sc.flops = B * K * rfwd_full_->flops_per_signal();
-    sc.kernel_launches = 1;
-  }
-
-  // Stage 2: truncate memcopy down to the kept half-spectrum prefix.
-  {
-    runtime::Timer t;
-    truncate_copy(freq_full_.span().first(B * K * HALF), freq_trunc_.span().first(B * K * MR),
-                  B * K, HALF, MR, &counters_.stage("truncate-copy"));
-    counters_.stage("truncate-copy").seconds = t.seconds();
-  }
-
-  // Stage 3: batched CGEMM over the retained bins.
-  {
-    runtime::Timer t;
-    gemm::BatchedStrides strides;
-    strides.a = 0;
-    strides.b = static_cast<std::ptrdiff_t>(K * MR);
-    strides.c = static_cast<std::ptrdiff_t>(O * MR);
-    gemm::cgemm_batched(O, MR, K, c32{1.0f, 0.0f}, w.data(), K, freq_trunc_.data(), MR,
-                        c32{0.0f, 0.0f}, mixed_.data(), MR, B, strides);
-    auto& sc = counters_.stage("cgemm");
-    sc.seconds = t.seconds();
-    sc.bytes_read = (B * K * MR + O * K) * sizeof(c32);
-    sc.bytes_written = B * O * MR * sizeof(c32);
-    sc.flops = trace::cgemm_flops(B * MR, O, K);
-    sc.kernel_launches = 1;
-  }
-
-  // Stage 4: zero-pad memcopy back to the full half-spectrum.
-  {
-    runtime::Timer t;
-    pad_copy(mixed_.span().first(B * O * MR), mixed_full_.span().first(B * O * HALF), B * O, MR,
-             HALF, &counters_.stage("pad-copy"));
-    counters_.stage("pad-copy").seconds = t.seconds();
-  }
-
-  // Stage 5: full C2R inverse (Hermitian extension + half-length transform).
-  {
-    runtime::Timer t;
-    rinv_full_->execute(mixed_full_.span().first(B * O * HALF), v.first(B * O * N), B * O);
-    auto& sc = counters_.stage("ifft");
-    sc.seconds = t.seconds();
-    sc.bytes_read = B * O * HALF * sizeof(c32);
-    sc.bytes_written = B * O * N * sizeof(float);
-    sc.flops = B * O * rinv_full_->flops_per_signal();
+    sc.bytes_read = B * O * F * sizeof(c32);
+    sc.bytes_written = B * O * N * sizeof(S);
+    sc.flops = B * O * pl.inv->flops_per_signal();
     sc.kernel_launches = 1;
   }
 }

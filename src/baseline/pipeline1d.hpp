@@ -5,12 +5,10 @@
 // no built-in filtering: exactly what cuFFT + cuBLAS + memory kernels do.
 #pragma once
 
-#include <memory>
 #include <span>
 
 #include "baseline/problem.hpp"
-#include "fft/plan.hpp"
-#include "fft/real.hpp"
+#include "fused/lane.hpp"
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/complex.hpp"
 #include "trace/counters.hpp"
@@ -41,12 +39,19 @@ class BaselinePipeline1d {
   [[nodiscard]] const Spectral1dProblem& problem() const noexcept { return prob_; }
 
  private:
+  /// The five stages of run_batched (fused::ComplexLane) and
+  /// run_batched_real (fused::RealLane).
+  template <class Lane>
+  void run_lane(std::span<const typename Lane::Sample> u, std::span<const c32> w,
+                std::span<typename Lane::Sample> v, std::size_t batch);
+
   Spectral1dProblem prob_;
-  std::shared_ptr<const fft::FftPlan> fwd_full_;
-  std::shared_ptr<const fft::FftPlan> inv_full_;
-  std::shared_ptr<const fft::RfftPlan> rfwd_full_;   // lazy: real lane only
-  std::shared_ptr<const fft::IrfftPlan> rinv_full_;  // lazy: real lane only
+  // Full-spectrum (unpruned) transforms: C2C at construction, R2C/C2R on
+  // the first real run (they require n >= 4).
+  fused::ComplexLane::Plans complex_plans_;
+  fused::RealLane::Plans real_plans_;
   // Full-size intermediates: the global-memory round trips fusion removes.
+  // The real lane uses a prefix of each (n/2+1 spectrum bins, modes/2+1 kept).
   AlignedBuffer<c32> freq_full_;   // [batch, hidden, n]
   AlignedBuffer<c32> freq_trunc_;  // [batch, hidden, modes]
   AlignedBuffer<c32> mixed_;       // [batch, out_dim, modes]

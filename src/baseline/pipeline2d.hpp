@@ -10,6 +10,7 @@
 #include "baseline/problem.hpp"
 #include "fft/fft2d.hpp"
 #include "fft/plan.hpp"
+#include "fused/lane.hpp"
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/complex.hpp"
 #include "trace/counters.hpp"
@@ -41,14 +42,28 @@ class BaselinePipeline2d {
   [[nodiscard]] const Spectral2dProblem& problem() const noexcept { return prob_; }
 
  private:
+  /// The five stages of run_batched (fused::ComplexLane) and
+  /// run_batched_real (fused::RealLane).  Stages 2-4 are shared; the
+  /// transform stages 1 and 5 are the lane's own fft_stage / ifft_stage.
+  template <class Lane>
+  void run_lane(std::span<const typename Lane::Sample> u, std::span<const c32> w,
+                std::span<typename Lane::Sample> v, std::size_t batch);
+  /// Stage 1: u -> freq_full_ ([batch, hidden, nx or nx/2+1, ny]).
+  void fft_stage(std::span<const c32> u, std::size_t batch);
+  void fft_stage(std::span<const float> u, std::size_t batch);
+  /// Stage 5: mixed_full_ ([batch, out_dim, nx or nx/2+1, ny]) -> v.
+  void ifft_stage(std::span<c32> v, std::size_t batch);
+  void ifft_stage(std::span<float> v, std::size_t batch);
+
   Spectral2dProblem prob_;
   fft::FftPlan2d fwd_full_;
   fft::FftPlan2d inv_full_;
   std::shared_ptr<const fft::FftPlan> fwd_y_full_;  // lazy: real lane only
   std::shared_ptr<const fft::FftPlan> inv_y_full_;  // lazy: real lane only
-  // Real-lane half-spectrum ping/pong buffers, [batch, max(K,O), nx/2+1, ny].
-  AlignedBuffer<c32> rbufA_;  // lazy: real lane only
-  AlignedBuffer<c32> rbufB_;  // lazy: real lane only
+  // Real lane: the X-stage half-spectrum between the R2C/C2R X pass and the
+  // C2C Y pass, [batch, max(K,O), nx/2+1, ny] (lazy).
+  AlignedBuffer<c32> xhalf_;
+  // Full-size intermediates; the real lane uses a prefix of each.
   AlignedBuffer<c32> freq_full_;   // [batch, hidden, nx, ny]
   AlignedBuffer<c32> freq_trunc_;  // [batch, hidden, mx, my]
   AlignedBuffer<c32> mixed_;       // [batch, out_dim, mx, my]

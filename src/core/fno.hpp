@@ -1,14 +1,19 @@
 // Full Fourier Neural Operator models (inference).
 //
 // Architecture per Li et al. / the paper's Figure 1(a):
-//   lifting (pointwise complex linear in_ch -> hidden)
+//   lifting (pointwise linear in_ch -> hidden)
 //   L x [ SpectralConv + pointwise residual path, activation ]
 //   projection (pointwise hidden -> out_ch)
 //
-// One deviation from canonical FNO is inherited from the paper: spectra are
-// truncated to the first `modes` bins of a C2C transform (no conjugate-
-// symmetric half), so intermediate fields are genuinely complex; the
-// activation acts on real and imaginary parts independently.
+// One forward body (FnoModel; Fno1d and Fno2d name its two ranks) runs on
+// both spectral lanes of fused/lane.hpp, sharing every weight:
+//   forward()       c32 fields.  As in the paper, spectra are truncated to
+//                   the first `modes` bins of a C2C transform (no conjugate-
+//                   symmetric half), so hidden fields are genuinely complex;
+//                   the activation acts on re and im independently.
+//   forward_real()  float fields; each spectral layer runs its RFFT
+//                   half-spectrum lane and the pointwise layers mix with the
+//                   real parts of their weights.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +27,7 @@
 
 namespace turbofno::core {
 
-/// Pointwise (1x1) complex channel mixing: v[b,o,s] = sum_k W[o,k] u[b,k,s].
+/// Pointwise (1x1) channel mixing: v[b,o,s] = sum_k W[o,k] u[b,k,s].
 class PointwiseLinear {
  public:
   PointwiseLinear(std::size_t in_ch, std::size_t out_ch, unsigned seed);
@@ -46,48 +51,54 @@ class PointwiseLinear {
   [[nodiscard]] std::size_t out_channels() const noexcept { return out_; }
 
  private:
+  template <class, class>
+  friend class FnoModel;
+  /// The body of forward (Sample = c32) and forward_real (Sample = float).
+  template <class Sample>
+  void run(std::span<const Sample> u, std::span<Sample> v, std::size_t batch,
+           std::size_t spatial) const;
+
   std::size_t in_;
   std::size_t out_;
   AlignedBuffer<c32> w_;  // [out, in]
 };
 
-/// Component-wise ReLU (acts on re and im independently).
-void relu_inplace(std::span<c32> x);
-/// ReLU on a real field.
-void relu_inplace(std::span<float> x);
-
-class Fno1d {
+/// An FNO of one rank: Config is Fno1dConfig or Fno2dConfig and Spectral
+/// the matching SpectralConv1d / SpectralConv2d.  Use the Fno1d / Fno2d
+/// names below.
+template <class Config, class Spectral>
+class FnoModel {
  public:
   /// Capacity is elastic: the model starts sized for one signal and grows
   /// its workspaces on demand (reserve / a larger forward micro-batch).
-  explicit Fno1d(const Fno1dConfig& cfg);
-  /// u [batch, in_channels, n] -> v [batch, out_channels, n] over the
-  /// current capacity (see capacity()).
+  explicit FnoModel(const Config& cfg);
+  /// u [batch, in_channels, field] -> v [batch, out_channels, field] over
+  /// the current capacity (see capacity()); field is n (1D) or nx x ny (2D).
   void forward(std::span<const c32> u, std::span<c32> v);
   /// Micro-batch variant for the serving layer: first `batch` signals; a
   /// batch beyond the current capacity grows the workspaces in place.
   /// Per-signal results are bitwise-identical to a batch-1 forward.
   void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch);
-  /// Real-input forward: u [batch, in_channels, n] and v [batch,
-  /// out_channels, n] hold real samples; every hidden field stays in floats
-  /// and each spectral layer runs its RFFT half-spectrum lane (see
-  /// SpectralConv1d::forward_real).  Requires n >= 4.
+  /// Real-input forward: u and v hold real samples; every hidden field stays
+  /// in floats and each spectral layer runs its RFFT half-spectrum lane (see
+  /// SpectralConv1d::forward_real).  Requires n >= 4 (1D) / nx >= 4 (2D).
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
 
-  /// Grows the hidden-state workspaces (and every layer's) so forwards up
-  /// to `batch` run without reallocation.  Never shrinks; growth does not
-  /// perturb results or weights.
+  /// Grows every layer's workspaces, and the hidden fields of each lane that
+  /// has run, so forwards up to `batch` run without reallocation.  A lane's
+  /// hidden fields are first sized when that lane first runs.  Never
+  /// shrinks; growth does not perturb results or weights.
   void reserve(std::size_t batch);
 
-  [[nodiscard]] const Fno1dConfig& config() const noexcept { return cfg_; }
+  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   /// Current capacity high-water mark (grows, never shrinks).
   [[nodiscard]] std::size_t capacity() const noexcept { return batch_; }
   [[nodiscard]] std::size_t batch() const noexcept { return batch_; }
 
   /// Mutable layer access.  Weight-invalidating (see PointwiseLinear::
   /// weights): use the const overloads when only reading.
-  [[nodiscard]] std::vector<SpectralConv1d>& spectral_layers() noexcept { return spectral_; }
-  [[nodiscard]] const std::vector<SpectralConv1d>& spectral_layers() const noexcept {
+  [[nodiscard]] std::vector<Spectral>& spectral_layers() noexcept { return spectral_; }
+  [[nodiscard]] const std::vector<Spectral>& spectral_layers() const noexcept {
     return spectral_;
   }
   [[nodiscard]] PointwiseLinear& lift() noexcept { return lift_; }
@@ -100,67 +111,35 @@ class Fno1d {
   [[nodiscard]] const PointwiseLinear& projection() const noexcept { return project_; }
 
  private:
-  Fno1dConfig cfg_;
+  /// One lane's hidden fields, [batch, hidden, field] each (grow-only).
+  template <class Sample>
+  struct Hidden {
+    AlignedBuffer<Sample> state;     // the layer input, then act(spectral + residual)
+    AlignedBuffer<Sample> spectral;  // the spectral layer's output
+    AlignedBuffer<Sample> residual;  // the residual layer's output
+    void grow(std::size_t elems);
+  };
+
+  /// The body of forward (fused::ComplexLane) and forward_real
+  /// (fused::RealLane).
+  template <class Lane>
+  void run(std::span<const typename Lane::Sample> u, std::span<typename Lane::Sample> v,
+           std::size_t batch);
+
+  Config cfg_;
   std::size_t batch_;
   PointwiseLinear lift_;
-  std::vector<SpectralConv1d> spectral_;
+  std::vector<Spectral> spectral_;
   std::vector<PointwiseLinear> residual_;
   PointwiseLinear project_;
-  AlignedBuffer<c32> h0_;
-  AlignedBuffer<c32> h1_;
-  AlignedBuffer<c32> hres_;
-  // Real-lane hidden fields (lazy, grow-only; half the complex footprint).
-  AlignedBuffer<float> r0_;
-  AlignedBuffer<float> r1_;
-  AlignedBuffer<float> rres_;
+  Hidden<c32> complex_hidden_;
+  Hidden<float> real_hidden_;
 };
 
-class Fno2d {
- public:
-  /// Elastic capacity; see Fno1d.
-  explicit Fno2d(const Fno2dConfig& cfg);
-  /// u [batch, in_channels, nx, ny] -> v [batch, out_channels, nx, ny].
-  void forward(std::span<const c32> u, std::span<c32> v);
-  /// Micro-batch variant; see Fno1d::forward (elastic growth included).
-  void forward(std::span<const c32> u, std::span<c32> v, std::size_t batch);
-  /// Real-input forward; see Fno1d::forward_real.  Requires nx >= 4.
-  void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch);
+using Fno1d = FnoModel<Fno1dConfig, SpectralConv1d>;
+using Fno2d = FnoModel<Fno2dConfig, SpectralConv2d>;
 
-  /// Elastic capacity growth; see Fno1d::reserve.
-  void reserve(std::size_t batch);
-
-  [[nodiscard]] const Fno2dConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return batch_; }
-  [[nodiscard]] std::size_t batch() const noexcept { return batch_; }
-
-  /// Mutable layer access is weight-invalidating; see Fno1d.
-  [[nodiscard]] std::vector<SpectralConv2d>& spectral_layers() noexcept { return spectral_; }
-  [[nodiscard]] const std::vector<SpectralConv2d>& spectral_layers() const noexcept {
-    return spectral_;
-  }
-  [[nodiscard]] PointwiseLinear& lift() noexcept { return lift_; }
-  [[nodiscard]] const PointwiseLinear& lift() const noexcept { return lift_; }
-  [[nodiscard]] std::vector<PointwiseLinear>& residual_layers() noexcept { return residual_; }
-  [[nodiscard]] const std::vector<PointwiseLinear>& residual_layers() const noexcept {
-    return residual_;
-  }
-  [[nodiscard]] PointwiseLinear& projection() noexcept { return project_; }
-  [[nodiscard]] const PointwiseLinear& projection() const noexcept { return project_; }
-
- private:
-  Fno2dConfig cfg_;
-  std::size_t batch_;
-  PointwiseLinear lift_;
-  std::vector<SpectralConv2d> spectral_;
-  std::vector<PointwiseLinear> residual_;
-  PointwiseLinear project_;
-  AlignedBuffer<c32> h0_;
-  AlignedBuffer<c32> h1_;
-  AlignedBuffer<c32> hres_;
-  // Real-lane hidden fields (lazy, grow-only; half the complex footprint).
-  AlignedBuffer<float> r0_;
-  AlignedBuffer<float> r1_;
-  AlignedBuffer<float> rres_;
-};
+extern template class FnoModel<Fno1dConfig, SpectralConv1d>;
+extern template class FnoModel<Fno2dConfig, SpectralConv2d>;
 
 }  // namespace turbofno::core

@@ -11,12 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "core/fno.hpp"
 #include "tensor/complex.hpp"
 
 namespace turbofno::core {
-
-class Fno1d;
-class Fno2d;
 
 /// Named weight blobs gathered from / scattered into a model.
 struct WeightBundle {

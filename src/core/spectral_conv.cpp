@@ -2,11 +2,42 @@
 
 #include <cmath>
 
-#include "fft/plan_cache.hpp"
+#include "fused/lane.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/timer.hpp"
 
 namespace turbofno::core {
+
+namespace {
+
+// A ladder pipeline's entry point for each lane's samples.
+template <class Pipeline>
+void run_pipeline(Pipeline& p, std::span<const c32> u, std::span<const c32> w, std::span<c32> v,
+                  std::size_t batch) {
+  p.run_batched(u, w, v, batch);
+}
+template <class Pipeline>
+void run_pipeline(Pipeline& p, std::span<const float> u, std::span<const c32> w,
+                  std::span<float> v, std::size_t batch) {
+  p.run_batched_real(u, w, v, batch);
+}
+
+// The ladder row serving `Lane`: the layer's `complex` pipeline, unless
+// Auto resolves the real lane's half-spectrum working set to another row,
+// which is then built into `real` on first use.  Every concrete row
+// implements both lanes on shared workspaces.
+template <class Lane, class Pipeline, class Problem, class Make>
+Pipeline& lane_pipeline(const std::unique_ptr<Pipeline>& complex, std::unique_ptr<Pipeline>& real,
+                        Backend backend, const Problem& prob, Make make) {
+  if (fused::resolve_variant(backend, prob, Lane::kRealInput) ==
+      fused::resolve_variant(backend, prob, false)) {
+    return *complex;
+  }
+  if (!real) real = make(backend, prob, true);
+  return *real;
+}
+
+}  // namespace
 
 void init_weights(std::span<c32> w, std::size_t fan_in, std::size_t fan_out, unsigned seed) {
   std::mt19937 rng(seed);
@@ -48,16 +79,12 @@ void SpectralConv1d::forward(std::span<const c32> u, std::span<c32> v) {
 }
 
 void SpectralConv1d::forward(std::span<const c32> u, std::span<c32> v, std::size_t batch) {
-  if (scheme_ == WeightScheme::Shared) {
-    // Validate before reserving so a wild batch value throws instead of
-    // attempting a batch-proportional allocation.
-    baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
-                                prob_.out_dim * prob_.n, batch, "SpectralConv1d");
-    reserve(batch);
-    pipeline_->run_batched(u, weights_.span(), v, batch);
-  } else {
-    forward_per_mode(u, v, batch);
-  }
+  run<fused::ComplexLane>(u, v, batch);
+}
+
+void SpectralConv1d::forward_real(std::span<const float> u, std::span<float> v,
+                                  std::size_t batch) {
+  run<fused::RealLane>(u, v, batch);
 }
 
 void SpectralConv1d::reserve(std::size_t batch) {
@@ -77,100 +104,41 @@ const trace::PipelineCounters& SpectralConv1d::counters() const {
   return scheme_ == WeightScheme::Shared ? pipeline_->counters() : permode_counters_;
 }
 
-fused::SpectralPipeline1d& SpectralConv1d::real_pipeline() {
-  // The half-spectrum working set can flip the Auto resolution; when both
-  // lanes resolve to the same row, the complex pipeline serves both (every
-  // concrete row implements run_batched_real on shared workspaces).
-  if (fused::resolve_variant(backend_, prob_, true) ==
-      fused::resolve_variant(backend_, prob_, false)) {
-    return *pipeline_;
+template <class Lane>
+void SpectralConv1d::run(std::span<const typename Lane::Sample> u,
+                         std::span<typename Lane::Sample> v, std::size_t batch) {
+  // Validate before reserving so a wild batch value throws instead of
+  // attempting a batch-proportional allocation.
+  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
+                              prob_.out_dim * prob_.n, batch,
+                              Lane::pick("SpectralConv1d", "SpectralConv1d(real)"));
+  reserve(batch);
+  if (scheme_ == WeightScheme::Shared) {
+    auto& pipe =
+        lane_pipeline<Lane>(pipeline_, pipeline_real_, backend_, prob_, fused::make_pipeline1d);
+    run_pipeline(pipe, u, weights_.span(), v, batch);
+  } else {
+    run_per_mode<Lane>(u, v, batch);
   }
-  if (!pipeline_real_) pipeline_real_ = fused::make_pipeline1d(backend_, prob_, true);
-  return *pipeline_real_;
 }
 
-void SpectralConv1d::forward_real(std::span<const float> u, std::span<float> v,
-                                  std::size_t batch) {
-  if (scheme_ != WeightScheme::Shared) {
-    forward_per_mode_real(u, v, batch);
-    return;
-  }
-  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
-                              prob_.out_dim * prob_.n, batch, "SpectralConv1d(real)");
-  reserve(batch);
-  real_pipeline().run_batched_real(u, weights_.span(), v, batch);
-}
-
-void SpectralConv1d::forward_per_mode_real(std::span<const float> u, std::span<float> v,
-                                           std::size_t batch) {
-  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
-                              prob_.out_dim * prob_.n, batch, "SpectralConv1d(real)");
-  reserve(batch);
+template <class Lane>
+void SpectralConv1d::run_per_mode(std::span<const typename Lane::Sample> u,
+                                  std::span<typename Lane::Sample> v, std::size_t batch) {
   if (batch == 0) return;
+  using S = typename Lane::Sample;
   const std::size_t B = batch;
   const std::size_t K = prob_.hidden;
   const std::size_t O = prob_.out_dim;
   const std::size_t N = prob_.n;
-  const std::size_t MR = prob_.modes / 2 + 1;  // per-mode matrices f < MR apply
+  const std::size_t M = Lane::kept(prob_.modes);  // per-mode matrices f < M apply
   permode_counters_.clear();
 
   // The per-mode path is the reference-grade unfused schedule.
-  const auto fwd = fft::acquire_rfft_plan(N, MR);
-  const auto inv = fft::acquire_irfft_plan(N, MR);
+  const auto pl = Lane::plans(N, M);
 
   runtime::Timer t;
-  fwd->execute(u.first(B * K * N), freq_.span().first(B * K * MR), B * K);
-  runtime::parallel_for(0, B * MR, 64, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t b = i / MR;
-      const std::size_t f = i % MR;
-      const c32* wf = weights_.data() + f * O * K;
-      for (std::size_t o = 0; o < O; ++o) {
-        c32 acc{};
-        for (std::size_t k = 0; k < K; ++k) {
-          cmadd(acc, wf[o * K + k], freq_[(b * K + k) * MR + f]);
-        }
-        mixed_[(b * O + o) * MR + f] = acc;
-      }
-    }
-  });
-  inv->execute(mixed_.span().first(B * O * MR), v.first(B * O * N), B * O);
-
-  auto& sc = permode_counters_.stage("per-mode-spectral-conv");
-  sc.seconds = t.seconds();
-  sc.bytes_read =
-      B * K * N * sizeof(float) + (MR * O * K + B * O * MR) * sizeof(c32);
-  sc.bytes_written = (B * K * MR + B * O * MR) * sizeof(c32) + B * O * N * sizeof(float);
-  sc.flops = B * K * fwd->flops_per_signal() + trace::cgemm_flops(B * MR, O, K) +
-             B * O * inv->flops_per_signal();
-  sc.kernel_launches = 3;
-}
-
-void SpectralConv1d::forward_per_mode(std::span<const c32> u, std::span<c32> v,
-                                      std::size_t batch) {
-  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * prob_.n,
-                              prob_.out_dim * prob_.n, batch, "SpectralConv1d");
-  reserve(batch);
-  if (batch == 0) return;
-  const std::size_t B = batch;
-  const std::size_t K = prob_.hidden;
-  const std::size_t O = prob_.out_dim;
-  const std::size_t N = prob_.n;
-  const std::size_t M = prob_.modes;
-  permode_counters_.clear();
-
-  fft::PlanDesc fd;
-  fd.n = N;
-  fd.keep = M;
-  const auto fwd = fft::acquire_plan(fd);
-  fft::PlanDesc id;
-  id.n = N;
-  id.dir = fft::Direction::Inverse;
-  id.nonzero = M;
-  const auto inv = fft::acquire_plan(id);
-
-  runtime::Timer t;
-  fwd->execute(u, freq_.span().first(B * K * M), B * K);
+  pl.fwd->execute(u.first(B * K * N), freq_.span().first(B * K * M), B * K);
   // Per-mode mixing: for each frequency f, an independent O x K matrix.
   runtime::parallel_for(0, B * M, 64, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
@@ -186,14 +154,14 @@ void SpectralConv1d::forward_per_mode(std::span<const c32> u, std::span<c32> v,
       }
     }
   });
-  inv->execute(mixed_.span().first(B * O * M), v, B * O);
+  pl.inv->execute(mixed_.span().first(B * O * M), v.first(B * O * N), B * O);
 
   auto& sc = permode_counters_.stage("per-mode-spectral-conv");
   sc.seconds = t.seconds();
-  sc.bytes_read = (B * K * N + M * O * K + B * O * M) * sizeof(c32);
-  sc.bytes_written = (B * K * M + B * O * M + B * O * N) * sizeof(c32);
-  sc.flops = B * K * fwd->flops_per_signal() + trace::cgemm_flops(B * M, O, K) +
-             B * O * inv->flops_per_signal();
+  sc.bytes_read = B * K * N * sizeof(S) + (M * O * K + B * O * M) * sizeof(c32);
+  sc.bytes_written = (B * K * M + B * O * M) * sizeof(c32) + B * O * N * sizeof(S);
+  sc.flops = B * K * pl.fwd->flops_per_signal() + trace::cgemm_flops(B * M, O, K) +
+             B * O * pl.inv->flops_per_signal();
   sc.kernel_launches = 3;
 }
 
@@ -229,11 +197,12 @@ void SpectralConv2d::forward(std::span<const c32> u, std::span<c32> v) {
 }
 
 void SpectralConv2d::forward(std::span<const c32> u, std::span<c32> v, std::size_t batch) {
-  const std::size_t field = prob_.nx * prob_.ny;
-  baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * field, prob_.out_dim * field,
-                              batch, "SpectralConv2d");
-  reserve(batch);
-  pipeline_->run_batched(u, weights_.span(), v, batch);
+  run<fused::ComplexLane>(u, v, batch);
+}
+
+void SpectralConv2d::forward_real(std::span<const float> u, std::span<float> v,
+                                  std::size_t batch) {
+  run<fused::RealLane>(u, v, batch);
 }
 
 void SpectralConv2d::reserve(std::size_t batch) {
@@ -244,22 +213,25 @@ void SpectralConv2d::reserve(std::size_t batch) {
 
 const trace::PipelineCounters& SpectralConv2d::counters() const { return pipeline_->counters(); }
 
-fused::SpectralPipeline2d& SpectralConv2d::real_pipeline() {
-  if (fused::resolve_variant(backend_, prob_, true) ==
-      fused::resolve_variant(backend_, prob_, false)) {
-    return *pipeline_;
-  }
-  if (!pipeline_real_) pipeline_real_ = fused::make_pipeline2d(backend_, prob_, true);
-  return *pipeline_real_;
-}
-
-void SpectralConv2d::forward_real(std::span<const float> u, std::span<float> v,
-                                  std::size_t batch) {
+template <class Lane>
+void SpectralConv2d::run(std::span<const typename Lane::Sample> u,
+                         std::span<typename Lane::Sample> v, std::size_t batch) {
   const std::size_t field = prob_.nx * prob_.ny;
   baseline::check_batch_spans(u.size(), v.size(), prob_.hidden * field, prob_.out_dim * field,
-                              batch, "SpectralConv2d(real)");
+                              batch, Lane::pick("SpectralConv2d", "SpectralConv2d(real)"));
   reserve(batch);
-  real_pipeline().run_batched_real(u, weights_.span(), v, batch);
+  auto& pipe =
+      lane_pipeline<Lane>(pipeline_, pipeline_real_, backend_, prob_, fused::make_pipeline2d);
+  run_pipeline(pipe, u, weights_.span(), v, batch);
 }
+
+template void SpectralConv1d::run<fused::ComplexLane>(std::span<const c32>, std::span<c32>,
+                                                      std::size_t);
+template void SpectralConv1d::run<fused::RealLane>(std::span<const float>, std::span<float>,
+                                                   std::size_t);
+template void SpectralConv2d::run<fused::ComplexLane>(std::span<const c32>, std::span<c32>,
+                                                      std::size_t);
+template void SpectralConv2d::run<fused::RealLane>(std::span<const float>, std::span<float>,
+                                                   std::size_t);
 
 }  // namespace turbofno::core

@@ -4,6 +4,8 @@
 // forward(): v = iFFT( pad( W x trunc( FFT(u) ) ) ), with W applied along
 // the hidden dimension.  The backend selects which pipeline executes it;
 // all backends are bit-compatible up to float rounding (tests assert this).
+// forward() and forward_real() run one lane body per rank, templated on the
+// spectral-lane policy (fused/lane.hpp).
 #pragma once
 
 #include <memory>
@@ -52,11 +54,18 @@ class SpectralConv1d {
   [[nodiscard]] WeightScheme scheme() const noexcept { return scheme_; }
 
  private:
-  void forward_per_mode(std::span<const c32> u, std::span<c32> v, std::size_t batch);
-  void forward_per_mode_real(std::span<const float> u, std::span<float> v, std::size_t batch);
-  /// The pipeline serving the real lane: `pipeline_` when Auto resolves to
-  /// the same row for both lanes, else a lazily built real-tuned sibling.
-  fused::SpectralPipeline1d& real_pipeline();
+  template <class, class>
+  friend class FnoModel;
+  /// The body of forward (fused::ComplexLane) and forward_real
+  /// (fused::RealLane).
+  template <class Lane>
+  void run(std::span<const typename Lane::Sample> u, std::span<typename Lane::Sample> v,
+           std::size_t batch);
+  /// The unfused per-mode schedule of `Lane`: forward FFT, one matrix per
+  /// retained bin, inverse FFT.
+  template <class Lane>
+  void run_per_mode(std::span<const typename Lane::Sample> u,
+                    std::span<typename Lane::Sample> v, std::size_t batch);
 
   baseline::Spectral1dProblem prob_;
   WeightScheme scheme_;
@@ -99,7 +108,13 @@ class SpectralConv2d {
   [[nodiscard]] const trace::PipelineCounters& counters() const;
 
  private:
-  fused::SpectralPipeline2d& real_pipeline();
+  template <class, class>
+  friend class FnoModel;
+  /// The body of forward (fused::ComplexLane) and forward_real
+  /// (fused::RealLane).
+  template <class Lane>
+  void run(std::span<const typename Lane::Sample> u, std::span<typename Lane::Sample> v,
+           std::size_t batch);
 
   baseline::Spectral2dProblem prob_;
   WeightScheme scheme_;

@@ -1,8 +1,9 @@
-// Spectral-lane policies of the fused pipelines.
+// Spectral-lane policies.
 //
-// Every ladder variant runs on two spectral lanes, and each variant body in
-// fused/pipeline{1d,2d}.cpp is written once, as a `template <class Lane>`,
-// against one of these two policies:
+// Every ladder variant, the PyTorch baseline rows and the model layer
+// (core/fno, core/spectral_conv) run on two spectral lanes, and each body
+// is written once, as a `template <class Lane>`, against one of these two
+// policies:
 //
 //   ComplexLane  c32 samples; the C2C forward FFT truncated to `modes` bins
 //                and the zero-padded C2C inverse (the paper's formulation).
@@ -14,6 +15,7 @@
 // the split-plane k-loop and every workspace are shared: the real lane's
 // kept bins are a capacity subset of the complex lane's.  A policy gives
 //   - Sample: the element type of the fields u and v;
+//   - kRealInput: the lane's `real_input` flag of the ladder factories;
 //   - kept(modes): the bins (1D) or x-rows (2D) the lane keeps;
 //   - Plans / plans(n, kept): the forward/inverse plan pair.  All four plan
 //     types share execute, execute_one, scratch_elems and flops_per_signal;
@@ -50,6 +52,8 @@ struct ComplexLane {
   /// Labels of the batch-span checks.
   static constexpr const char* kWho1d = "pipeline1d";
   static constexpr const char* kWho2d = "pipeline2d";
+  /// The ladder factories' `real_input` flag (Auto's working-set sizing).
+  static constexpr bool kRealInput = false;
 
   [[nodiscard]] static constexpr std::size_t kept(std::size_t modes) noexcept { return modes; }
 
@@ -85,6 +89,7 @@ struct RealLane {
 
   static constexpr const char* kWho1d = "pipeline1d(real)";
   static constexpr const char* kWho2d = "pipeline2d(real)";
+  static constexpr bool kRealInput = true;
 
   /// modes/2+1 <= modes, so complex-lane workspaces cover the real layout.
   [[nodiscard]] static constexpr std::size_t kept(std::size_t modes) noexcept {

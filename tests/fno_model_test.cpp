@@ -1,8 +1,13 @@
 // Full FNO model: shape handling, determinism, backend equivalence at the
-// model level, and numeric health on realistic workloads.
+// model level, numeric health on realistic workloads, and a double-precision
+// oracle over both ranks and both lanes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fno.hpp"
@@ -13,6 +18,7 @@ namespace turbofno::core {
 namespace {
 
 using turbofno::testing::max_err;
+using turbofno::testing::random_reals;
 using turbofno::testing::random_signal;
 using turbofno::testing::rel_err;
 
@@ -149,35 +155,198 @@ TEST(PointwiseLinearTest, MatchesNaiveMixing) {
   const std::size_t spatial = 10;
   PointwiseLinear lin(in, out, 21u);
   const auto u = random_signal(batch * in * spatial, 919u);
+  const auto ur = random_reals(batch * in * spatial, 921u);
   std::vector<c32> v(batch * out * spatial, c32{});
+  std::vector<float> vr(batch * out * spatial, 0.0f);
   lin.forward(u, v, batch, spatial);
+  // The real lane mixes with the real parts of the same weights.
+  lin.forward_real(ur, vr, batch, spatial);
 
+  const auto w = std::as_const(lin).weights();
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t o = 0; o < out; ++o) {
       for (std::size_t s = 0; s < spatial; ++s) {
         c32 acc{};
+        double acc_r = 0.0;
         for (std::size_t k = 0; k < in; ++k) {
-          cmadd(acc, lin.weights()[o * in + k], u[(b * in + k) * spatial + s]);
+          cmadd(acc, w[o * in + k], u[(b * in + k) * spatial + s]);
+          acc_r += static_cast<double>(w[o * in + k].re) * ur[(b * in + k) * spatial + s];
         }
-        EXPECT_NEAR(v[(b * out + o) * spatial + s].re, acc.re, 1e-4);
-        EXPECT_NEAR(v[(b * out + o) * spatial + s].im, acc.im, 1e-4);
+        const std::size_t i = (b * out + o) * spatial + s;
+        EXPECT_NEAR(v[i].re, acc.re, 1e-4);
+        EXPECT_NEAR(v[i].im, acc.im, 1e-4);
+        EXPECT_NEAR(vr[i], acc_r, 1e-4);
       }
     }
   }
 }
 
-TEST(ReluTest, ClampsBothComponents) {
-  std::vector<c32> x = {{-1.0f, 2.0f}, {3.0f, -4.0f}, {-5.0f, -6.0f}, {7.0f, 8.0f}};
-  relu_inplace(x);
-  EXPECT_EQ(x[0].re, 0.0f);
-  EXPECT_EQ(x[0].im, 2.0f);
-  EXPECT_EQ(x[1].re, 3.0f);
-  EXPECT_EQ(x[1].im, 0.0f);
-  EXPECT_EQ(x[2].re, 0.0f);
-  EXPECT_EQ(x[2].im, 0.0f);
-  EXPECT_EQ(x[3].re, 7.0f);
-  EXPECT_EQ(x[3].im, 8.0f);
+// ------------------------------------------------------------ model oracle
+//
+// Every model (1D, 2D) on every lane (complex, real) against an oracle
+// built only from the layers' weights: lift, residual and projection are
+// mixed here in double, each spectral layer goes through the lane's direct
+// DFT reference (tests/test_util.hpp), and the activation clamps re and im
+// independently on every layer but the last.
+
+using Field = std::vector<std::complex<double>>;
+
+// v[b,o,s] = sum_k W[o,k] u[b,k,s]; the real lane mixes with Re W.
+Field mix(const PointwiseLinear& p, const Field& u, std::size_t batch, std::size_t spatial,
+          bool real) {
+  const std::size_t in = p.in_channels();
+  const std::size_t out = p.out_channels();
+  Field v(batch * out * spatial);
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t o = 0; o < out; ++o) {
+      for (std::size_t k = 0; k < in; ++k) {
+        const c32 wk = p.weights()[o * in + k];
+        const std::complex<double> w(wk.re, real ? 0.0f : wk.im);
+        for (std::size_t s = 0; s < spatial; ++s) {
+          v[(b * out + o) * spatial + s] += w * u[(b * in + k) * spatial + s];
+        }
+      }
+    }
+  }
+  return v;
 }
+
+std::vector<c32> to_c32(const Field& f) {
+  std::vector<c32> v(f.size());
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    v[i] = {static_cast<float>(f[i].real()), static_cast<float>(f[i].imag())};
+  }
+  return v;
+}
+
+std::vector<float> to_float(const Field& f) {
+  std::vector<float> v(f.size());
+  for (std::size_t i = 0; i < f.size(); ++i) v[i] = static_cast<float>(f[i].real());
+  return v;
+}
+
+Field to_field(std::span<const c32> x) {
+  Field f(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) f[i] = {x[i].re, x[i].im};
+  return f;
+}
+
+Field to_field(std::span<const float> x) {
+  Field f(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) f[i] = x[i];
+  return f;
+}
+
+double rel_l2(const Field& got, const Field& want) {
+  double num = 0.0;
+  double den = 1e-30;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    num += std::norm(got[i] - want[i]);
+    den += std::norm(want[i]);
+  }
+  return std::sqrt(num / den);
+}
+
+// One spectral layer through the direct reference of its rank and lane.
+Field spectral_reference(const SpectralConv1d& layer, const Field& h, std::size_t batch,
+                         bool real) {
+  auto p = layer.problem();
+  p.batch = batch;
+  const std::vector<c32> w(layer.weights().begin(), layer.weights().end());
+  return real ? to_field(turbofno::testing::reference_real_conv_1d(p, to_float(h), w))
+              : to_field(turbofno::testing::reference_spectral_conv(p, to_c32(h), w));
+}
+
+Field spectral_reference(const SpectralConv2d& layer, const Field& h, std::size_t batch,
+                         bool real) {
+  auto p = layer.problem();
+  p.batch = batch;
+  const std::vector<c32> w(layer.weights().begin(), layer.weights().end());
+  return real ? to_field(turbofno::testing::reference_real_conv_2d(p, to_float(h), w))
+              : to_field(turbofno::testing::reference_spectral_conv2d(p, to_c32(h), w));
+}
+
+template <class Model>
+void expect_model_matches_oracle(Model& model, std::size_t field, bool real) {
+  const auto& cfg = model.config();
+  const std::size_t batch = 2;
+  const std::size_t in = batch * cfg.in_channels * field;
+  const std::size_t out = batch * cfg.out_channels * field;
+  Field u;
+  Field got;
+  if (real) {
+    const auto ur = random_reals(in, 1201u);
+    std::vector<float> v(out, 0.0f);
+    model.forward_real(ur, v, batch);
+    u = to_field(ur);
+    got = to_field(v);
+  } else {
+    const auto uc = random_signal(in, 1203u);
+    std::vector<c32> v(out, c32{});
+    model.forward(uc, v, batch);
+    u = to_field(uc);
+    got = to_field(v);
+  }
+
+  const Model& m = model;
+  Field h = mix(m.lift(), u, batch, field, real);
+  for (std::size_t l = 0; l < cfg.layers; ++l) {
+    const Field spec = spectral_reference(m.spectral_layers()[l], h, batch, real);
+    const Field res = mix(m.residual_layers()[l], h, batch, field, real);
+    const bool last = l + 1 == cfg.layers;
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      const auto s = spec[i] + res[i];
+      h[i] = last ? s : std::complex<double>(std::max(s.real(), 0.0), std::max(s.imag(), 0.0));
+    }
+  }
+  const Field want = mix(m.projection(), h, batch, field, real);
+  EXPECT_LT(rel_l2(got, want), 1e-3);
+}
+
+struct OracleCase {
+  bool is_2d;
+  bool real;
+};
+
+class FnoModelOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(FnoModelOracle, MatchesDoublePrecisionReference) {
+  const auto [is_2d, real] = GetParam();
+  if (is_2d) {
+    Fno2dConfig cfg;
+    cfg.in_channels = 2;
+    cfg.hidden = 6;
+    cfg.out_channels = 2;
+    cfg.nx = 16;
+    cfg.ny = 16;
+    cfg.modes_x = 8;
+    cfg.modes_y = 6;
+    cfg.layers = 3;
+    cfg.backend = Backend::Auto;
+    Fno2d model(cfg);
+    expect_model_matches_oracle(model, cfg.nx * cfg.ny, real);
+  } else {
+    Fno1dConfig cfg;
+    cfg.in_channels = 2;
+    cfg.hidden = 8;
+    cfg.out_channels = 2;
+    cfg.n = 64;
+    cfg.modes = 16;
+    cfg.layers = 3;
+    cfg.backend = Backend::Auto;
+    Fno1d model(cfg);
+    expect_model_matches_oracle(model, cfg.n, real);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RankAndLane, FnoModelOracle,
+    ::testing::Values(OracleCase{false, false}, OracleCase{false, true}, OracleCase{true, false},
+                      OracleCase{true, true}),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return std::string(info.param.is_2d ? "Fno2d" : "Fno1d") +
+             (info.param.real ? "Real" : "Complex");
+    });
 
 }  // namespace
 }  // namespace turbofno::core

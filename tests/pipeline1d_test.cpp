@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "fft/reference.hpp"
 #include "fused/ladder.hpp"
 #include "runtime/parallel.hpp"
 #include "test_util.hpp"
@@ -16,41 +15,8 @@ namespace {
 using baseline::Spectral1dProblem;
 using turbofno::testing::max_err;
 using turbofno::testing::random_signal;
+using turbofno::testing::reference_spectral_conv;
 using turbofno::testing::rel_err;
-
-// Direct reference: per-signal DFT (double precision), naive mixing along
-// hidden, zero-pad, inverse DFT.
-std::vector<c32> reference_spectral_conv(const Spectral1dProblem& p, const std::vector<c32>& u,
-                                         const std::vector<c32>& w) {
-  const std::size_t B = p.batch;
-  const std::size_t K = p.hidden;
-  const std::size_t O = p.out_dim;
-  const std::size_t N = p.n;
-  const std::size_t M = p.modes;
-  std::vector<c32> freq(B * K * M);
-  for (std::size_t bk = 0; bk < B * K; ++bk) {
-    fft::reference_dft(std::span<const c32>(u.data() + bk * N, N),
-                       std::span<c32>(freq.data() + bk * M, M), N);
-  }
-  std::vector<c32> mixed(B * O * M, c32{});
-  for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t o = 0; o < O; ++o) {
-      for (std::size_t f = 0; f < M; ++f) {
-        c32 acc{};
-        for (std::size_t k = 0; k < K; ++k) {
-          cmadd(acc, w[o * K + k], freq[(b * K + k) * M + f]);
-        }
-        mixed[(b * O + o) * M + f] = acc;
-      }
-    }
-  }
-  std::vector<c32> v(B * O * N);
-  for (std::size_t bo = 0; bo < B * O; ++bo) {
-    fft::reference_idft(std::span<const c32>(mixed.data() + bo * M, M),
-                        std::span<c32>(v.data() + bo * N, N), N);
-  }
-  return v;
-}
 
 struct LadderCase {
   Variant variant;

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "fft/reference.hpp"
 #include "fused/ladder.hpp"
 #include "runtime/parallel.hpp"
 #include "test_util.hpp"
@@ -14,71 +13,8 @@ namespace {
 using baseline::Spectral2dProblem;
 using turbofno::testing::max_err;
 using turbofno::testing::random_signal;
+using turbofno::testing::reference_spectral_conv2d;
 using turbofno::testing::rel_err;
-
-// Direct reference via per-axis reference DFTs and naive mixing.
-std::vector<c32> reference_spectral_conv2d(const Spectral2dProblem& p, const std::vector<c32>& u,
-                                           const std::vector<c32>& w) {
-  const std::size_t B = p.batch;
-  const std::size_t K = p.hidden;
-  const std::size_t O = p.out_dim;
-  const std::size_t NX = p.nx;
-  const std::size_t NY = p.ny;
-  const std::size_t MX = p.modes_x;
-  const std::size_t MY = p.modes_y;
-
-  // Forward 2D DFT, truncated to the [MX, MY] corner, per (b, k).
-  std::vector<c32> freq(B * K * MX * MY);
-  std::vector<c32> col(NX);
-  std::vector<c32> colf(MX);
-  std::vector<c32> mid(MX * NY);
-  for (std::size_t bk = 0; bk < B * K; ++bk) {
-    const c32* f = u.data() + bk * NX * NY;
-    for (std::size_t y = 0; y < NY; ++y) {
-      for (std::size_t x = 0; x < NX; ++x) col[x] = f[x * NY + y];
-      fft::reference_dft(col, colf, NX);
-      for (std::size_t x = 0; x < MX; ++x) mid[x * NY + y] = colf[x];
-    }
-    for (std::size_t x = 0; x < MX; ++x) {
-      fft::reference_dft(std::span<const c32>(mid.data() + x * NY, NY),
-                         std::span<c32>(freq.data() + bk * MX * MY + x * MY, MY), NY);
-    }
-  }
-
-  // Mixing along hidden.
-  const std::size_t modes = MX * MY;
-  std::vector<c32> mixed(B * O * modes, c32{});
-  for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t o = 0; o < O; ++o) {
-      for (std::size_t fidx = 0; fidx < modes; ++fidx) {
-        c32 acc{};
-        for (std::size_t k = 0; k < K; ++k) {
-          cmadd(acc, w[o * K + k], freq[(b * K + k) * modes + fidx]);
-        }
-        mixed[(b * O + o) * modes + fidx] = acc;
-      }
-    }
-  }
-
-  // Inverse: pad corner and 2D inverse DFT per (b, o).
-  std::vector<c32> v(B * O * NX * NY);
-  std::vector<c32> row(NY);
-  std::vector<c32> mid2(MX * NY);
-  std::vector<c32> colspec(MX);
-  std::vector<c32> colout(NX);
-  for (std::size_t bo = 0; bo < B * O; ++bo) {
-    for (std::size_t x = 0; x < MX; ++x) {
-      fft::reference_idft(std::span<const c32>(mixed.data() + bo * modes + x * MY, MY),
-                          std::span<c32>(mid2.data() + x * NY, NY), NY);
-    }
-    for (std::size_t y = 0; y < NY; ++y) {
-      for (std::size_t x = 0; x < MX; ++x) colspec[x] = mid2[x * NY + y];
-      fft::reference_idft(colspec, colout, NX);
-      for (std::size_t x = 0; x < NX; ++x) v[bo * NX * NY + x * NY + y] = colout[x];
-    }
-  }
-  return v;
-}
 
 struct LadderCase2d {
   Variant variant;

@@ -1,17 +1,15 @@
-// Real-spectral (RFFT) lane: every 1D/2D ladder variant's run_batched_real,
-// the SpectralConv*::forward_real layers and a whole Fno1d::forward_real
-// must match direct double-precision half-spectrum references, and the
-// steady state must stay allocation-free.
+// Real-spectral (RFFT) lane: every 1D/2D ladder variant's run_batched_real
+// and the SpectralConv*::forward_real layers must match direct
+// double-precision half-spectrum references (tests/test_util.hpp), and the
+// steady state must stay allocation-free.  The whole-model oracle over both
+// lanes is in fno_model_test.cpp.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
-#include <random>
 #include <utility>
 #include <vector>
 
 #include "core/api.hpp"
-#include "fft/reference.hpp"
 #include "fused/ladder.hpp"
 #include "fused/pipeline2d.hpp"
 #include "runtime/scratch.hpp"
@@ -22,149 +20,11 @@ namespace {
 
 using baseline::Spectral1dProblem;
 using baseline::Spectral2dProblem;
+using turbofno::testing::random_reals;
 using turbofno::testing::random_signal;
-
-std::vector<float> random_reals(std::size_t n, unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-  std::vector<float> v(n);
-  for (auto& x : v) x = dist(rng);
-  return v;
-}
-
-double rel_err_f(std::span<const float> a, std::span<const float> b) {
-  double num = 0.0;
-  double den = 1e-30;
-  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-    const double d = static_cast<double>(a[i]) - b[i];
-    num += d * d;
-    den += static_cast<double>(b[i]) * b[i];
-  }
-  return std::sqrt(num / den);
-}
-
-std::vector<c32> pack(std::span<const float> x) {
-  std::vector<c32> z(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) z[i] = {x[i], 0.0f};
-  return z;
-}
-
-/// torch.fft.irfft bin completion: first `stored` bins -> full n-bin
-/// conjugate-symmetric spectrum (DC, and Nyquist when stored, projected
-/// real).
-std::vector<c32> hermitian_full(std::span<const c32> bins, std::size_t n) {
-  std::vector<c32> full(n, c32{});
-  full[0] = {bins[0].re, 0.0f};
-  for (std::size_t k = 1; k < bins.size(); ++k) {
-    if (k == n - k) {
-      full[k] = {bins[k].re, 0.0f};
-    } else {
-      full[k] = bins[k];
-      full[n - k] = {bins[k].re, -bins[k].im};
-    }
-  }
-  return full;
-}
-
-// Direct reference of the 1D real lane: full DFT of the real signal, keep
-// modes/2+1 bins, mix along hidden, Hermitian-complete, inverse DFT, real
-// part.
-std::vector<float> reference_real_conv_1d(const Spectral1dProblem& p,
-                                          const std::vector<float>& u,
-                                          const std::vector<c32>& w) {
-  const std::size_t B = p.batch;
-  const std::size_t K = p.hidden;
-  const std::size_t O = p.out_dim;
-  const std::size_t N = p.n;
-  const std::size_t MR = p.modes / 2 + 1;
-  const auto uc = pack(u);
-  std::vector<c32> freq(B * K * MR);
-  for (std::size_t bk = 0; bk < B * K; ++bk) {
-    fft::reference_dft(std::span<const c32>(uc.data() + bk * N, N),
-                       std::span<c32>(freq.data() + bk * MR, MR), N);
-  }
-  std::vector<c32> mixed(B * O * MR, c32{});
-  for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t o = 0; o < O; ++o) {
-      for (std::size_t f = 0; f < MR; ++f) {
-        c32 acc{};
-        for (std::size_t k = 0; k < K; ++k) {
-          cmadd(acc, w[o * K + k], freq[(b * K + k) * MR + f]);
-        }
-        mixed[(b * O + o) * MR + f] = acc;
-      }
-    }
-  }
-  std::vector<float> v(B * O * N);
-  for (std::size_t bo = 0; bo < B * O; ++bo) {
-    const auto full =
-        hermitian_full(std::span<const c32>(mixed.data() + bo * MR, MR), N);
-    std::vector<c32> time(N);
-    fft::reference_idft(full, time, N);
-    for (std::size_t j = 0; j < N; ++j) v[bo * N + j] = time[j].re;
-  }
-  return v;
-}
-
-// Direct reference of the 2D real lane: truncated X DFT per column
-// (modes_x/2+1 bins), truncated Y DFT per row, mix, padded Y inverse,
-// Hermitian X inverse per column.
-std::vector<float> reference_real_conv_2d(const Spectral2dProblem& p,
-                                          const std::vector<float>& u,
-                                          const std::vector<c32>& w) {
-  const std::size_t B = p.batch;
-  const std::size_t K = p.hidden;
-  const std::size_t O = p.out_dim;
-  const std::size_t NX = p.nx;
-  const std::size_t NY = p.ny;
-  const std::size_t MY = p.modes_y;
-  const std::size_t MXR = p.modes_x / 2 + 1;
-  std::vector<c32> xf(B * K * MXR * NY);
-  for (std::size_t f = 0; f < B * K; ++f) {
-    for (std::size_t y = 0; y < NY; ++y) {
-      std::vector<c32> col(NX);
-      for (std::size_t x = 0; x < NX; ++x) col[x] = {u[(f * NX + x) * NY + y], 0.0f};
-      std::vector<c32> bins(MXR);
-      fft::reference_dft(col, bins, NX);
-      for (std::size_t k = 0; k < MXR; ++k) xf[(f * MXR + k) * NY + y] = bins[k];
-    }
-  }
-  std::vector<c32> freq(B * K * MXR * MY);
-  for (std::size_t r = 0; r < B * K * MXR; ++r) {
-    fft::reference_dft(std::span<const c32>(xf.data() + r * NY, NY),
-                       std::span<c32>(freq.data() + r * MY, MY), NY);
-  }
-  const std::size_t modes = MXR * MY;
-  std::vector<c32> mixed(B * O * modes, c32{});
-  for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t o = 0; o < O; ++o) {
-      for (std::size_t f = 0; f < modes; ++f) {
-        c32 acc{};
-        for (std::size_t k = 0; k < K; ++k) {
-          cmadd(acc, w[o * K + k], freq[(b * K + k) * modes + f]);
-        }
-        mixed[(b * O + o) * modes + f] = acc;
-      }
-    }
-  }
-  std::vector<c32> xi(B * O * MXR * NY);
-  for (std::size_t r = 0; r < B * O * MXR; ++r) {
-    fft::reference_idft(std::span<const c32>(mixed.data() + r * MY, MY),
-                        std::span<c32>(xi.data() + r * NY, NY), NY);
-  }
-  std::vector<float> v(B * O * NX * NY);
-  for (std::size_t f = 0; f < B * O; ++f) {
-    for (std::size_t y = 0; y < NY; ++y) {
-      std::vector<c32> bins(MXR);
-      for (std::size_t k = 0; k < MXR; ++k) bins[k] = xi[(f * MXR + k) * NY + y];
-      const auto full = hermitian_full(bins, NX);
-      std::vector<c32> col(NX);
-      fft::reference_idft(full, col, NX);
-      for (std::size_t x = 0; x < NX; ++x) v[(f * NX + x) * NY + y] = col[x].re;
-    }
-  }
-  return v;
-}
+using turbofno::testing::reference_real_conv_1d;
+using turbofno::testing::reference_real_conv_2d;
+using turbofno::testing::rel_err_f;
 
 // --------------------------------------------------------------- 1D ladder
 
@@ -320,7 +180,7 @@ TEST(LaneInterleaving, Pipeline2dComplexRealComplexMatchesFreshInstances) {
   }
 }
 
-// ------------------------------------------------- layer + model level
+// ------------------------------------------------- layer + session level
 
 std::vector<c32> weights_of(std::span<const c32> w) { return {w.begin(), w.end()}; }
 
@@ -344,50 +204,6 @@ TEST(RealSpectralLayers, Conv2dMatchesReference) {
   conv.forward_real(u, v, p.batch);
   const auto ref = reference_real_conv_2d(p, u, weights_of(std::as_const(conv).weights()));
   EXPECT_LT(rel_err_f(v, ref), 1e-4);
-}
-
-TEST(RealSpectralLayers, Conv1dPerModeRealRuns) {
-  core::SpectralConv1d conv(1, 6, 6, 32, 8, core::Backend::FftOpt,
-                            core::WeightScheme::PerMode);
-  const auto u = random_reals(6 * 32, 719u);
-  std::vector<float> v(6 * 32, 0.0f);
-  conv.forward_real(u, v, 1);
-  double mag = 0.0;
-  for (const float x : v) mag += std::fabs(x);
-  EXPECT_GT(mag, 0.0);
-}
-
-TEST(RealSpectralLayers, Fno1dModelMatchesOracle) {
-  // Oracle: the model's own pointwise layers around the double-precision
-  // spectral reference, layer by layer (ReLU on every layer but the last).
-  core::Fno1dConfig cfg;
-  cfg.hidden = 8;
-  cfg.n = 64;
-  cfg.modes = 16;
-  cfg.layers = 2;
-  cfg.backend = core::Backend::Auto;
-  core::Fno1d model(cfg);
-  const auto u = random_reals(cfg.in_channels * cfg.n, 727u);
-  std::vector<float> got(cfg.out_channels * cfg.n, 0.0f);
-  model.forward_real(u, got, 1);
-
-  const core::Fno1d& m = model;
-  const Spectral1dProblem layer{1, cfg.hidden, cfg.hidden, cfg.n, cfg.modes};
-  std::vector<float> h(cfg.hidden * cfg.n), res(h.size());
-  m.lift().forward_real(u, h, 1, cfg.n);
-  for (std::size_t l = 0; l < cfg.layers; ++l) {
-    const auto spec =
-        reference_real_conv_1d(layer, h, weights_of(m.spectral_layers()[l].weights()));
-    m.residual_layers()[l].forward_real(h, res, 1, cfg.n);
-    const bool last = l + 1 == cfg.layers;
-    for (std::size_t i = 0; i < h.size(); ++i) {
-      const float s = spec[i] + res[i];
-      h[i] = last || s > 0.0f ? s : 0.0f;
-    }
-  }
-  std::vector<float> want(got.size(), 0.0f);
-  m.projection().forward_real(h, want, 1, cfg.n);
-  EXPECT_LT(rel_err_f(got, want), 1e-3);
 }
 
 TEST(RealSpectralLayers, SessionRunRealServes2d) {

@@ -12,8 +12,10 @@ namespace turbofno::core {
 namespace {
 
 using turbofno::testing::max_err;
+using turbofno::testing::random_reals;
 using turbofno::testing::random_signal;
 using turbofno::testing::rel_err;
+using turbofno::testing::rel_err_f;
 
 TEST(SpectralConv1dTest, BackendsProduceIdenticalOperators) {
   const std::size_t B = 2;
@@ -116,6 +118,15 @@ TEST(SpectralConv1dTest, PerModeWithEqualWeightsMatchesShared) {
   shared.forward(u, vs);
   permode.forward(u, vp);
   EXPECT_LT(rel_err(vp, vs), 1e-4);
+
+  // The real lane: the per-mode matrices of the modes/2+1 retained RFFT
+  // bins against the shared matrix on the same half-spectrum.
+  const auto ur = random_reals(B * K * N, 831u);
+  std::vector<float> rs(B * O * N);
+  std::vector<float> rp(B * O * N);
+  shared.forward_real(ur, rs, B);
+  permode.forward_real(ur, rp, B);
+  EXPECT_LT(rel_err_f(rp, rs), 1e-4);
 }
 
 TEST(SpectralConv1dTest, PerModeUsesDistinctMatricesPerFrequency) {
