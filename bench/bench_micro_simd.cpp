@@ -24,6 +24,7 @@
 //
 // With --json <path>, emits {kernels: [{name, scalar_seconds, simd_seconds,
 // scalar_gflops, simd_gflops, speedup}]} for the perf trajectory.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -61,13 +62,14 @@ struct KernelResult {
 
 // ------------------------------------------------------- cgemm micro-kernel
 
-template <class B>
+using SplitC32 = gemm::Planes<simd::Active, c32>;
+
 void run_micro_simd(float* acc_split, const float* Apack, const float* Bpack, std::size_t kc) {
-  constexpr std::size_t JW = gemm::kJBlock<B, Cfg::Nt>;
+  constexpr std::size_t JW = SplitC32::jblock<Cfg::Nt>;
   for (std::size_t ii = 0; ii < Cfg::Mtb; ii += Cfg::Mt) {
     for (std::size_t jj = 0; jj < Cfg::Ntb; jj += JW) {
-      gemm::micro_accumulate_split<B, Cfg::Mt, JW, Cfg::Mtb, Cfg::Ntb>(acc_split, Apack, Bpack,
-                                                                       kc, ii, jj);
+      gemm::micro_accumulate<SplitC32, Cfg::Mt, JW, Cfg::Mtb, Cfg::Ntb>(acc_split, Apack, Bpack,
+                                                                         kc, ii, jj);
     }
   }
 }
@@ -80,19 +82,21 @@ KernelResult bench_cgemm_micro(std::size_t reps) {
   core::fill_random(A.span(), 11u);
   core::fill_random(Bm.span(), 12u);
 
+  // Interleaved k-major panels for the scalar reference: Apack[k][i] =
+  // A[i, k], Bpack[k][j] = B[k, j] (B is already k-major).
   AlignedBuffer<c32> Apack(Cfg::Mtb * Cfg::Ktb);
   AlignedBuffer<c32> Bpack(Cfg::Ntb * Cfg::Ktb);
-  gemm::pack_a_tile<Cfg::Mtb, Cfg::Ktb>(Apack.data(), A.data(), Cfg::Ktb, 0, 0, Cfg::Mtb,
-                                        Cfg::Ktb);
-  gemm::pack_b_tile<Cfg::Ntb, Cfg::Ktb>(Bpack.data(), Bm.data(), Cfg::Ntb, 0, 0, Cfg::Ktb,
-                                        Cfg::Ntb);
+  for (std::size_t k = 0; k < Cfg::Ktb; ++k) {
+    for (std::size_t i = 0; i < Cfg::Mtb; ++i) Apack[k * Cfg::Mtb + i] = A[i * Cfg::Ktb + k];
+  }
+  std::copy(Bm.span().begin(), Bm.span().end(), Bpack.span().begin());
 
   AlignedBuffer<float> ApackS(2 * Cfg::Mtb * Cfg::Ktb);
   AlignedBuffer<float> BpackS(2 * Cfg::Ntb * Cfg::Ktb);
-  gemm::pack_a_tile_split<Cfg::Mtb, Cfg::Ktb>(ApackS.data(), A.data(), Cfg::Ktb, 0, 0, Cfg::Mtb,
-                                              Cfg::Ktb);
-  gemm::pack_b_tile_split<Cfg::Ntb, Cfg::Ktb>(BpackS.data(), Bm.data(), Cfg::Ntb, 0, 0, Cfg::Ktb,
-                                              Cfg::Ntb);
+  gemm::pack_a_tile<SplitC32, Cfg::Mtb, Cfg::Ktb>(ApackS.data(), A.data(), Cfg::Ktb, 0, 0,
+                                                  Cfg::Mtb, Cfg::Ktb);
+  gemm::pack_b_tile<SplitC32, Cfg::Ntb, Cfg::Ktb>(BpackS.data(), Bm.data(), Cfg::Ntb, 0, 0,
+                                                  Cfg::Ktb, Cfg::Ntb);
 
   AlignedBuffer<c32> acc(Cfg::Mtb * Cfg::Ntb);
   AlignedBuffer<float> accS(2 * Cfg::Mtb * Cfg::Ntb);
@@ -109,7 +113,7 @@ KernelResult bench_cgemm_micro(std::size_t reps) {
   });
   r.simd_seconds = runtime::time_best_of(reps, [&] {
     for (std::size_t it = 0; it < kInner; ++it) {
-      run_micro_simd<simd::Active>(accS.data(), ApackS.data(), BpackS.data(), Cfg::Ktb);
+      run_micro_simd(accS.data(), ApackS.data(), BpackS.data(), Cfg::Ktb);
     }
   });
   return r;

@@ -2,22 +2,17 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "baseline/problem.hpp"
 #include "fused/lane.hpp"
-#include "runtime/parallel.hpp"
+#include "gemm/batched.hpp"
+#include "runtime/scratch.hpp"
 
 namespace turbofno::core {
 
 namespace {
-
-// The per-lane arithmetic of the pointwise mix and the activation: the
-// complex lane mixes with the full weight and clamps re and im
-// independently, the real lane mixes with the weight's real part.
-void madd(c32& acc, c32 w, c32 u) noexcept { cmadd(acc, w, u); }
-void madd(float& acc, c32 w, float u) noexcept { acc += w.re * u; }
-float relu(float x) noexcept { return x > 0.0f ? x : 0.0f; }
-c32 relu(c32 z) noexcept { return {relu(z.re), relu(z.im)}; }
 
 // What differs between the ranks: the field size, the spectral layer's
 // constructor and the names in error messages.
@@ -52,34 +47,33 @@ PointwiseLinear::PointwiseLinear(std::size_t in_ch, std::size_t out_ch, unsigned
 
 void PointwiseLinear::forward(std::span<const c32> u, std::span<c32> v, std::size_t batch,
                               std::size_t spatial) const {
-  run<c32>(u, v, batch, spatial);
+  run<c32>(u, v, batch, spatial, false, gemm::Act::None);
 }
 
 void PointwiseLinear::forward_real(std::span<const float> u, std::span<float> v,
                                    std::size_t batch, std::size_t spatial) const {
-  run<float>(u, v, batch, spatial);
+  run<float>(u, v, batch, spatial, false, gemm::Act::None);
 }
 
 template <class Sample>
 void PointwiseLinear::run(std::span<const Sample> u, std::span<Sample> v, std::size_t batch,
-                          std::size_t spatial) const {
-  runtime::parallel_for(0, batch, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t b = lo; b < hi; ++b) {
-      const Sample* ub = u.data() + b * in_ * spatial;
-      Sample* vb = v.data() + b * out_ * spatial;
-      for (std::size_t o = 0; o < out_; ++o) {
-        Sample* vrow = vb + o * spatial;
-        for (std::size_t s = 0; s < spatial; ++s) vrow[s] = Sample{};
-        for (std::size_t k = 0; k < in_; ++k) {
-          const c32 w = w_[o * in_ + k];
-          const Sample* urow = ub + k * spatial;
-          for (std::size_t s = 0; s < spatial; ++s) {
-            madd(vrow[s], w, urow[s]);
-          }
-        }
-      }
-    }
-  });
+                          std::size_t spatial, bool accumulate, gemm::Act act) const {
+  const gemm::BatchedStrides items{0, static_cast<std::ptrdiff_t>(in_ * spatial),
+                                   static_cast<std::ptrdiff_t>(out_ * spatial)};
+  const Sample beta = accumulate ? Sample{1.0f} : Sample{};
+  if constexpr (std::is_same_v<Sample, c32>) {
+    gemm::cgemm_batched(out_, spatial, in_, c32{1.0f}, w_.data(), in_, u.data(), spatial, beta,
+                        v.data(), spatial, batch, items, act);
+  } else {
+    // The real lane mixes with Re W, taken per call (weights() is mutable,
+    // so a kept copy could go stale).
+    auto& arena = runtime::tls_scratch();
+    const auto scope = arena.scope();
+    const auto w = arena.alloc<float>(w_.size());
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] = w_[i].re;
+    gemm::sgemm_batched(out_, spatial, in_, 1.0f, w.data(), in_, u.data(), spatial, beta,
+                        v.data(), spatial, batch, items, act);
+  }
 }
 
 // ------------------------------------------------------------- FnoModel
@@ -109,10 +103,9 @@ FnoModel<Config, Spectral>::FnoModel(const Config& cfg)
 template <class Config, class Spectral>
 template <class Sample>
 void FnoModel<Config, Spectral>::Hidden<Sample>::grow(std::size_t elems) {
-  if (state.size() >= elems) return;
-  state.resize(elems);
-  spectral.resize(elems);
-  residual.resize(elems);
+  if (front.size() >= elems) return;
+  front.resize(elems);
+  back.resize(elems);
 }
 
 template <class Config, class Spectral>
@@ -122,8 +115,8 @@ void FnoModel<Config, Spectral>::reserve(std::size_t batch) {
   for (auto& layer : spectral_) layer.reserve(batch);
   // Only a lane that has run holds hidden fields (run<Lane> sizes them).
   const std::size_t hid = batch * cfg_.hidden * field_elems(cfg_);
-  if (complex_hidden_.state.size() != 0) complex_hidden_.grow(hid);
-  if (real_hidden_.state.size() != 0) real_hidden_.grow(hid);
+  if (complex_hidden_.front.size() != 0) complex_hidden_.grow(hid);
+  if (real_hidden_.front.size() != 0) real_hidden_.grow(hid);
   batch_ = batch;
 }
 
@@ -157,26 +150,20 @@ void FnoModel<Config, Spectral>::run(std::span<const typename Lane::Sample> u,
   const std::size_t hid = batch * cfg_.hidden * field;
   auto& h = Lane::pick(complex_hidden_, real_hidden_);
   h.grow(hid);
-  const auto state = h.state.span().first(hid);
-  const auto spectral = h.spectral.span().first(hid);
-  const auto residual = h.residual.span().first(hid);
-  lift_.run<S>(u, state, batch, field);
+  auto state = h.front.span().first(hid);
+  auto next = h.back.span().first(hid);
+  lift_.run<S>(u, state, batch, field, false, gemm::Act::None);
   for (std::size_t l = 0; l < cfg_.layers; ++l) {
-    spectral_[l].template run<Lane>(state, spectral, batch);
-    residual_[l].run<S>(state, residual, batch, field);
-    // state <- act(spectral + residual); the last layer skips the activation.
-    const S* a = spectral.data();
-    const S* r = residual.data();
-    S* dst = state.data();
-    const bool last = (l + 1 == cfg_.layers);
-    runtime::parallel_for(0, hid, 1 << 16, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const S s = a[i] + r[i];
-        dst[i] = last ? s : relu(s);
-      }
-    });
+    // next <- act(spectral(state) + W_l state): the residual GEMM adds onto
+    // the spectral output and activates in its epilogue (the last layer
+    // skips the activation).
+    spectral_[l].template run<Lane>(state, next, batch);
+    const bool last = l + 1 == cfg_.layers;
+    residual_[l].run<S>(state, next, batch, field, true,
+                        last ? gemm::Act::None : gemm::Act::Relu);
+    std::swap(state, next);
   }
-  project_.run<S>(state, v, batch, field);
+  project_.run<S>(state, v, batch, field, false, gemm::Act::None);
 }
 
 template class FnoModel<Fno1dConfig, SpectralConv1d>;

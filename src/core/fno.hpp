@@ -14,6 +14,12 @@
 //   forward_real()  float fields; each spectral layer runs its RFFT
 //                   half-spectrum lane and the pointwise layers mix with the
 //                   real parts of their weights.
+//
+// Lift, residual and projection run on the packed micro-kernel GEMM
+// (gemm/batched.hpp; cgemm on the complex lane, the float sgemm path on the
+// real lane).  Each layer's residual GEMM accumulates onto the spectral
+// layer's output and applies the activation in its epilogue, so a lane
+// keeps two hidden fields and no separate add/activation pass runs.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +31,16 @@
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/complex.hpp"
 
+namespace turbofno::gemm {
+enum class Act : unsigned char;  // gemm/config.hpp (an internal header)
+}  // namespace turbofno::gemm
+
 namespace turbofno::core {
 
-/// Pointwise (1x1) channel mixing: v[b,o,s] = sum_k W[o,k] u[b,k,s].
+/// Pointwise (1x1) channel mixing: v[b,o,s] = sum_k W[o,k] u[b,k,s], one
+/// batched GEMM (M = out, N = spatial, K = in, W shared by every item).
+/// Each output is an ascending-k sum from zero, so item b's result is the
+/// same in any batch and at any thread count.
 class PointwiseLinear {
  public:
   PointwiseLinear(std::size_t in_ch, std::size_t out_ch, unsigned seed);
@@ -37,14 +50,15 @@ class PointwiseLinear {
                std::size_t spatial) const;
   /// Real-field variant: mixes with the real parts of the weights (the real
   /// model keeps every spatial tensor in floats; only the retained spectra
-  /// are complex).
+  /// are complex).  Re W is taken from the weights on every call.
   void forward_real(std::span<const float> u, std::span<float> v, std::size_t batch,
                     std::size_t spatial) const;
 
   /// Mutable weight access [out, in].  Weight-invalidating: writing through
-  /// this span changes what subsequent forwards compute, and any derived
-  /// state a caller packed from the old values (split/SoA weight planes)
-  /// must be re-derived.  Use the const overload for read-only access.
+  /// this span changes what subsequent forwards compute (both lanes read the
+  /// weights afresh each call), and any derived state a caller packed from
+  /// the old values (split/SoA weight planes) must be re-derived.  Use the
+  /// const overload for read-only access.
   [[nodiscard]] std::span<c32> weights() noexcept { return w_.span(); }
   [[nodiscard]] std::span<const c32> weights() const noexcept { return w_.span(); }
   [[nodiscard]] std::size_t in_channels() const noexcept { return in_; }
@@ -53,10 +67,12 @@ class PointwiseLinear {
  private:
   template <class, class>
   friend class FnoModel;
-  /// The body of forward (Sample = c32) and forward_real (Sample = float).
+  /// The body of forward (Sample = c32) and forward_real (Sample = float):
+  /// v = act(W u + (accumulate ? v : 0)) through the batched GEMM.  An FNO
+  /// layer passes accumulate = true onto its spectral output.
   template <class Sample>
   void run(std::span<const Sample> u, std::span<Sample> v, std::size_t batch,
-           std::size_t spatial) const;
+           std::size_t spatial, bool accumulate, gemm::Act act) const;
 
   std::size_t in_;
   std::size_t out_;
@@ -111,12 +127,14 @@ class FnoModel {
   [[nodiscard]] const PointwiseLinear& projection() const noexcept { return project_; }
 
  private:
-  /// One lane's hidden fields, [batch, hidden, field] each (grow-only).
+  /// One lane's two hidden fields, [batch, hidden, field] each (grow-only).
+  /// A layer reads one and writes the other: the spectral layer stores its
+  /// output there, then the residual GEMM adds W u and applies the
+  /// activation in place.  The two swap roles every layer.
   template <class Sample>
   struct Hidden {
-    AlignedBuffer<Sample> state;     // the layer input, then act(spectral + residual)
-    AlignedBuffer<Sample> spectral;  // the spectral layer's output
-    AlignedBuffer<Sample> residual;  // the residual layer's output
+    AlignedBuffer<Sample> front;
+    AlignedBuffer<Sample> back;
     void grow(std::size_t elems);
   };
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 
+#include "gemm/batched.hpp"
 #include "gemm/micro_kernel.hpp"
 #include "gemm/pack.hpp"
 #include "runtime/parallel.hpp"
+#include "runtime/scratch.hpp"
 #include "tensor/aligned_buffer.hpp"
 #include "tensor/simd.hpp"
 
@@ -12,115 +14,136 @@ namespace turbofno::gemm {
 
 namespace {
 
-// Scalar-backend tile task: interleaved panels, the seed's auto-vectorized
-// kernel.  Kept verbatim as the scalar baseline the SIMD path is benched
-// against.
-template <class Cfg>
-void tile_task_scalar(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N, std::size_t K,
-                      c32 alpha, const c32* A, std::size_t lda, const c32* B, std::size_t ldb,
-                      c32 beta, c32* C, std::size_t ldc, c32* Apack, c32* Bpack) {
-  constexpr std::size_t Mtb = Cfg::Mtb;
-  constexpr std::size_t Ntb = Cfg::Ntb;
-  constexpr std::size_t Ktb = Cfg::Ktb;
-  constexpr std::size_t Mt = Cfg::Mt;
-  constexpr std::size_t Nt = Cfg::Nt;
+/// One GEMM's arguments (batch item 0 of a batched call).
+template <class T>
+struct Operands {
+  std::size_t M, N, K;
+  T alpha;
+  const T* A;
+  std::size_t lda;
+  const T* B;
+  std::size_t ldb;
+  T beta;
+  T* C;
+  std::size_t ldc;
+  Act act;
+};
 
-  const std::size_t i0 = ti * Mtb;
-  const std::size_t j0 = tj * Ntb;
-  const std::size_t mi = std::min(Mtb, M - i0);
-  const std::size_t nj = std::min(Ntb, N - j0);
-
-  // Accumulators for the whole C tile, kept in a stack block; the register
-  // micro-tiles stream through it.  (Mtb*Ntb c32 = 8 KiB at 32x32.)
-  c32 acc_tile[Mtb * Ntb];
-  std::fill(acc_tile, acc_tile + Mtb * Ntb, c32{});
-
-  for (std::size_t k0 = 0; k0 < K; k0 += Ktb) {
-    const std::size_t kc = std::min(Ktb, K - k0);
-    pack_a_tile<Mtb, Ktb>(Apack, A, lda, i0, k0, mi, kc);
-    pack_b_tile<Ntb, Ktb>(Bpack, B, ldb, k0, j0, kc, nj);
-
-    for (std::size_t ii = 0; ii < Mtb; ii += Mt) {
-      for (std::size_t jj = 0; jj < Ntb; jj += Nt) {
-        c32 acc[Mt][Nt];
-        for (std::size_t i = 0; i < Mt; ++i)
-          for (std::size_t j = 0; j < Nt; ++j) acc[i][j] = acc_tile[(ii + i) * Ntb + (jj + j)];
-        micro_accumulate<Mt, Nt, Mtb, Ntb>(acc, Apack, Bpack, kc, ii, jj);
-        for (std::size_t i = 0; i < Mt; ++i)
-          for (std::size_t j = 0; j < Nt; ++j) acc_tile[(ii + i) * Ntb + (jj + j)] = acc[i][j];
-      }
+// Epilogue: C[mi x nj] = act(alpha * acc + beta * C), re-interleaving the
+// accumulator planes of a c32 tile.  alpha = 1 skips the multiply and
+// beta = 1 adds C, so the residual form act(acc + C) rounds exactly as a
+// separate add and activation would.
+template <class B, class P, class T>
+void store_tile(const float* acc, std::size_t plane, std::size_t ld_acc, std::size_t mi,
+                std::size_t nj, const Operands<T>& g, T* C) {
+  using V = typename P::V;
+  const bool scale = !(g.alpha == T{1.0f});
+  const bool beta_zero = g.beta == T{};
+  const bool beta_one = g.beta == T{1.0f};
+  const V alpha_v = B::broadcast(g.alpha);
+  const V beta_v = B::broadcast(g.beta);
+  const auto finish = [&](V r, auto&& load_c) {
+    if (scale) r = P::mul(alpha_v, r);
+    if (!beta_zero) {
+      const V c = load_c();
+      r = beta_one ? B::add(r, c) : P::madd(r, beta_v, c);
     }
-  }
-
-  // Epilogue: C = alpha * acc + beta * C on the valid region.
+    return g.act == Act::Relu ? B::relu(r) : r;
+  };
   for (std::size_t i = 0; i < mi; ++i) {
-    c32* crow = C + (i0 + i) * ldc + j0;
-    const c32* arow = acc_tile + i * Ntb;
-    if (beta == c32{0.0f, 0.0f}) {
-      for (std::size_t j = 0; j < nj; ++j) crow[j] = alpha * arow[j];
-    } else {
-      for (std::size_t j = 0; j < nj; ++j) crow[j] = alpha * arow[j] + beta * crow[j];
+    T* crow = C + i * g.ldc;
+    const float* arow = acc + i * ld_acc;
+    std::size_t j = 0;
+    for (; j + B::lanes <= nj; j += B::lanes) {
+      B::store(crow + j, finish(P::load(arow + j, plane), [&] { return B::load(crow + j); }));
+    }
+    if (j < nj) {
+      const std::size_t rem = nj - j;
+      B::store_partial(crow + j, finish(P::load(arow + j, plane),
+                                        [&] { return B::load_partial(crow + j, rem); }),
+                       rem);
     }
   }
 }
 
-// SIMD tile task: split-complex panels and accumulator planes; the register
-// block runs the vector micro-kernel, the epilogue re-interleaves into C
-// with masked tails.
-template <class Cfg, class B>
-void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N, std::size_t K,
-                    c32 alpha, const c32* A, std::size_t lda, const c32* Bm, std::size_t ldb,
-                    c32 beta, c32* C, std::size_t ldc, float* Apack, float* Bpack) {
+// One Mtb x Ntb tile of C: packed panels per k block, the register-block
+// micro-kernel over the accumulator planes, then the epilogue.
+template <class Cfg, class B, class T>
+void tile_task(std::size_t ti, std::size_t tj, const Operands<T>& g, float* Apack,
+               float* Bpack) {
+  using P = Planes<B, T>;
   constexpr std::size_t Mtb = Cfg::Mtb;
   constexpr std::size_t Ntb = Cfg::Ntb;
   constexpr std::size_t Ktb = Cfg::Ktb;
   constexpr std::size_t Mt = Cfg::Mt;
-  constexpr std::size_t JW = kJBlock<B, Cfg::Nt>;
+  constexpr std::size_t JW = P::template jblock<Cfg::Nt>;
   static_assert(Ntb % JW == 0, "j-block must divide the tile width");
-  using V = typename B::cvec;
+  constexpr std::size_t plane = Mtb * Ntb;
 
   const std::size_t i0 = ti * Mtb;
   const std::size_t j0 = tj * Ntb;
-  const std::size_t mi = std::min(Mtb, M - i0);
-  const std::size_t nj = std::min(Ntb, N - j0);
+  const std::size_t mi = std::min(Mtb, g.M - i0);
+  const std::size_t nj = std::min(Ntb, g.N - j0);
+  // An edge tile runs only the register blocks holding a valid row and
+  // column: a one-row projection is one Mt block row, not Mtb / Mt of them.
+  const std::size_t m_run = (mi + Mt - 1) / Mt * Mt;
+  const std::size_t n_run = (nj + JW - 1) / JW * JW;
 
-  // Split accumulator planes for the whole C tile (re plane then im plane;
-  // same bytes as the interleaved tile).
-  alignas(kBufferAlignment) float acc_tile[2 * Mtb * Ntb];
-  std::fill(acc_tile, acc_tile + 2 * Mtb * Ntb, 0.0f);
+  alignas(kBufferAlignment) float acc[P::count * plane];
+  for (std::size_t p = 0; p < P::count; ++p) {
+    std::fill(acc + p * plane, acc + p * plane + m_run * Ntb, 0.0f);
+  }
 
-  for (std::size_t k0 = 0; k0 < K; k0 += Ktb) {
-    const std::size_t kc = std::min(Ktb, K - k0);
-    pack_a_tile_split<Mtb, Ktb>(Apack, A, lda, i0, k0, mi, kc);
-    pack_b_tile_split<Ntb, Ktb, B>(Bpack, Bm, ldb, k0, j0, kc, nj);
-
-    for (std::size_t ii = 0; ii < Mtb; ii += Mt) {
-      for (std::size_t jj = 0; jj < Ntb; jj += JW) {
-        micro_accumulate_split<B, Mt, JW, Mtb, Ntb>(acc_tile, Apack, Bpack, kc, ii, jj);
+  for (std::size_t k0 = 0; k0 < g.K; k0 += Ktb) {
+    const std::size_t kc = std::min(Ktb, g.K - k0);
+    pack_a_tile<P, Mtb, Ktb>(Apack, g.A, g.lda, i0, k0, mi, kc);
+    pack_b_tile<P, Ntb, Ktb>(Bpack, g.B, g.ldb, k0, j0, kc, nj);
+    for (std::size_t ii = 0; ii < m_run; ii += Mt) {
+      for (std::size_t jj = 0; jj < n_run; jj += JW) {
+        micro_accumulate<P, Mt, JW, Mtb, Ntb>(acc, Apack, Bpack, kc, ii, jj);
       }
     }
   }
 
-  // Epilogue: C = alpha * acc + beta * C, re-interleaving the split planes.
-  const V alpha_v = B::broadcast(alpha);
-  const V beta_v = B::broadcast(beta);
-  const bool beta_zero = beta == c32{0.0f, 0.0f};
-  for (std::size_t i = 0; i < mi; ++i) {
-    c32* crow = C + (i0 + i) * ldc + j0;
-    const float* are = acc_tile + i * Ntb;
-    const float* aim = acc_tile + Mtb * Ntb + i * Ntb;
-    std::size_t j = 0;
-    for (; j + B::lanes <= nj; j += B::lanes) {
-      V res = B::cmul(alpha_v, B::load_split(are + j, aim + j));
-      if (!beta_zero) res = B::cmadd(res, beta_v, B::load(crow + j));
-      B::store(crow + j, res);
+  store_tile<B, P>(acc, plane, Ntb, mi, nj, g, g.C + i0 * g.ldc + j0);
+}
+
+// Every tile of every batch item as one parallel sweep.  Each task owns its
+// C tile, so the partition never changes a result.
+template <class Cfg, class B, class T>
+void run_tiles(const Operands<T>& g, std::size_t batch, const BatchedStrides& strides) {
+  if (batch == 0 || g.M == 0 || g.N == 0) return;
+  using P = Planes<B, T>;
+  const std::size_t tiles_n = (g.N + Cfg::Ntb - 1) / Cfg::Ntb;
+  const std::size_t tiles = (g.M + Cfg::Mtb - 1) / Cfg::Mtb * tiles_n;
+
+  runtime::parallel_for(0, batch * tiles, 1, [&](std::size_t lo, std::size_t hi) {
+    auto& arena = runtime::tls_scratch();
+    const auto scope = arena.scope();
+    float* Apack = arena.alloc<float>(P::count * Cfg::Mtb * Cfg::Ktb).data();
+    float* Bpack = arena.alloc<float>(P::count * Cfg::Ntb * Cfg::Ktb).data();
+    // tfno-hot-begin: tile bodies
+    for (std::size_t t = lo; t < hi; ++t) {
+      const auto item = static_cast<std::ptrdiff_t>(t / tiles);
+      Operands<T> gi = g;
+      gi.A += item * strides.a;
+      gi.B += item * strides.b;
+      gi.C += item * strides.c;
+      tile_task<Cfg, B>(t % tiles / tiles_n, t % tiles_n, gi, Apack, Bpack);
     }
-    if (j < nj) {
-      const std::size_t rem = nj - j;
-      V res = B::cmul(alpha_v, B::load_split(are + j, aim + j));
-      if (!beta_zero) res = B::cmadd(res, beta_v, B::load_partial(crow + j, rem));
-      B::store_partial(crow + j, res, rem);
-    }
+    // tfno-hot-end
+  });
+}
+
+// The FNO GEMM is tall-and-skinny (huge M, moderate N/K); the standalone
+// 64x64 tile amortizes packing best for large M, while the 32x32 fused
+// shape wins when N is small.
+template <class T>
+void dispatch(const Operands<T>& g, std::size_t batch, const BatchedStrides& strides) {
+  if (g.N >= 48) {
+    run_tiles<StandaloneTiles, simd::Active>(g, batch, strides);
+  } else {
+    run_tiles<FusedTiles, simd::Active>(g, batch, strides);
   }
 }
 
@@ -129,28 +152,15 @@ void tile_task_simd(std::size_t ti, std::size_t tj, std::size_t M, std::size_t N
 template <class Cfg, class B>
 void cgemm_tiled_backend(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
                          std::size_t lda, const c32* Bm, std::size_t ldb, c32 beta, c32* C,
-                         std::size_t ldc) {
-  if (M == 0 || N == 0) return;
-  const std::size_t tiles_m = (M + Cfg::Mtb - 1) / Cfg::Mtb;
-  const std::size_t tiles_n = (N + Cfg::Ntb - 1) / Cfg::Ntb;
+                         std::size_t ldc, Act act) {
+  run_tiles<Cfg, B>(Operands<c32>{M, N, K, alpha, A, lda, Bm, ldb, beta, C, ldc, act}, 1, {});
+}
 
-  runtime::parallel_for(0, tiles_m * tiles_n, 1, [&](std::size_t lo, std::size_t hi) {
-    if constexpr (B::lanes == 1) {
-      AlignedBuffer<c32> Apack(Cfg::Mtb * Cfg::Ktb);
-      AlignedBuffer<c32> Bpack(Cfg::Ntb * Cfg::Ktb);
-      for (std::size_t t = lo; t < hi; ++t) {
-        tile_task_scalar<Cfg>(t / tiles_n, t % tiles_n, M, N, K, alpha, A, lda, Bm, ldb, beta, C,
-                              ldc, Apack.data(), Bpack.data());
-      }
-    } else {
-      AlignedBuffer<float> Apack(2 * Cfg::Mtb * Cfg::Ktb);
-      AlignedBuffer<float> Bpack(2 * Cfg::Ntb * Cfg::Ktb);
-      for (std::size_t t = lo; t < hi; ++t) {
-        tile_task_simd<Cfg, B>(t / tiles_n, t % tiles_n, M, N, K, alpha, A, lda, Bm, ldb, beta, C,
-                               ldc, Apack.data(), Bpack.data());
-      }
-    }
-  });
+template <class Cfg, class B>
+void sgemm_tiled_backend(std::size_t M, std::size_t N, std::size_t K, float alpha,
+                         const float* A, std::size_t lda, const float* Bm, std::size_t ldb,
+                         float beta, float* C, std::size_t ldc, Act act) {
+  run_tiles<Cfg, B>(Operands<float>{M, N, K, alpha, A, lda, Bm, ldb, beta, C, ldc, act}, 1, {});
 }
 
 template <class Cfg>
@@ -187,41 +197,38 @@ template void cgemm_tiled<AblTilesReg8>(std::size_t, std::size_t, std::size_t, c
                                         std::size_t);
 
 // Explicit-backend instantiations for the parity tests and the SIMD micro
-// bench.  The scalar pair always exists; the Active pair collapses onto it
+// bench.  The scalar ones always exist; the Active ones collapse onto them
 // in a scalar-only build.
-template void cgemm_tiled_backend<FusedTiles, simd::ScalarBackend>(std::size_t, std::size_t,
-                                                                   std::size_t, c32, const c32*,
-                                                                   std::size_t, const c32*,
-                                                                   std::size_t, c32, c32*,
-                                                                   std::size_t);
-template void cgemm_tiled_backend<StandaloneTiles, simd::ScalarBackend>(std::size_t, std::size_t,
-                                                                        std::size_t, c32,
-                                                                        const c32*, std::size_t,
-                                                                        const c32*, std::size_t,
-                                                                        c32, c32*, std::size_t);
+#define TURBOFNO_GEMM_BACKEND_INSTANCES(Cfg, B)                                                 \
+  template void cgemm_tiled_backend<Cfg, B>(std::size_t, std::size_t, std::size_t, c32,        \
+                                            const c32*, std::size_t, const c32*, std::size_t,  \
+                                            c32, c32*, std::size_t, Act);                      \
+  template void sgemm_tiled_backend<Cfg, B>(std::size_t, std::size_t, std::size_t, float,      \
+                                            const float*, std::size_t, const float*,           \
+                                            std::size_t, float, float*, std::size_t, Act);
+TURBOFNO_GEMM_BACKEND_INSTANCES(FusedTiles, simd::ScalarBackend)
+TURBOFNO_GEMM_BACKEND_INSTANCES(StandaloneTiles, simd::ScalarBackend)
 #if TURBOFNO_SIMD_HAVE_AVX2
-template void cgemm_tiled_backend<FusedTiles, simd::Avx2Backend>(std::size_t, std::size_t,
-                                                                 std::size_t, c32, const c32*,
-                                                                 std::size_t, const c32*,
-                                                                 std::size_t, c32, c32*,
-                                                                 std::size_t);
-template void cgemm_tiled_backend<StandaloneTiles, simd::Avx2Backend>(std::size_t, std::size_t,
-                                                                      std::size_t, c32,
-                                                                      const c32*, std::size_t,
-                                                                      const c32*, std::size_t,
-                                                                      c32, c32*, std::size_t);
+TURBOFNO_GEMM_BACKEND_INSTANCES(FusedTiles, simd::Avx2Backend)
+TURBOFNO_GEMM_BACKEND_INSTANCES(StandaloneTiles, simd::Avx2Backend)
 #endif
+#undef TURBOFNO_GEMM_BACKEND_INSTANCES
 
 void cgemm(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A, std::size_t lda,
-           const c32* B, std::size_t ldb, c32 beta, c32* C, std::size_t ldc) {
-  // The FNO GEMM is tall-and-skinny (huge M, moderate N/K); the standalone
-  // 64x64 tile amortizes packing best for large M, while the 32x32 fused
-  // shape wins when N is small.
-  if (N >= 48) {
-    cgemm_tiled<StandaloneTiles>(M, N, K, alpha, A, lda, B, ldb, beta, C, ldc);
-  } else {
-    cgemm_tiled<FusedTiles>(M, N, K, alpha, A, lda, B, ldb, beta, C, ldc);
-  }
+           const c32* B, std::size_t ldb, c32 beta, c32* C, std::size_t ldc, Act act) {
+  dispatch(Operands<c32>{M, N, K, alpha, A, lda, B, ldb, beta, C, ldc, act}, 1, {});
+}
+
+void cgemm_batched(std::size_t M, std::size_t N, std::size_t K, c32 alpha, const c32* A,
+                   std::size_t lda, const c32* B, std::size_t ldb, c32 beta, c32* C,
+                   std::size_t ldc, std::size_t batch, const BatchedStrides& strides, Act act) {
+  dispatch(Operands<c32>{M, N, K, alpha, A, lda, B, ldb, beta, C, ldc, act}, batch, strides);
+}
+
+void sgemm_batched(std::size_t M, std::size_t N, std::size_t K, float alpha, const float* A,
+                   std::size_t lda, const float* B, std::size_t ldb, float beta, float* C,
+                   std::size_t ldc, std::size_t batch, const BatchedStrides& strides, Act act) {
+  dispatch(Operands<float>{M, N, K, alpha, A, lda, B, ldb, beta, C, ldc, act}, batch, strides);
 }
 
 std::uint64_t cgemm_bytes(std::size_t M, std::size_t N, std::size_t K, const TileShape& tiles,

@@ -1,4 +1,5 @@
-// Blocking configuration of the TurboFNO CGEMM (paper Table 1).
+// Blocking configuration of the TurboFNO CGEMM (paper Table 1) and its
+// epilogue activation.
 //
 // The kernel is "fully templated" (Section 3.1): thread-block tile shape and
 // register tile factors are compile-time parameters, instantiated for the
@@ -39,6 +40,12 @@ template <class Cfg>
 constexpr TileShape shape_of() noexcept {
   return {Cfg::Mtb, Cfg::Ntb, Cfg::Ktb, Cfg::Mt, Cfg::Nt};
 }
+
+/// Activation the GEMM epilogue applies after C = alpha * A * B + beta * C:
+/// none, or ReLU (max(x, 0), NaN -> 0; a complex C clamps re and im
+/// independently).  Fusing it there lets an FNO layer write
+/// act(spectral + W u) in the residual GEMM's store.
+enum class Act : unsigned char { None, Relu };
 
 /// Warp-level tile of the paper's Table 1 (m_w x n_w = 32 x 16).  The CPU
 /// substrate has no warps; the value is carried for the GPU cost model and

@@ -1,103 +1,59 @@
-// Operand packing for the blocked CGEMM.
+// Operand packing for the blocked GEMM.
+//
+// Each k-slice of a panel stores the element's planes one after another
+// (see micro_kernel.hpp): all reals then all imaginaries for c32, one plane
+// for float.  The micro-kernel's inner loop is then pure vertical FMA with
+// no shuffles:
+//   Apack[k] = { plane 0 [0..Mtb), plane 1 [0..Mtb) }
+//   Bpack[k] = { plane 0 [0..Ntb), plane 1 [0..Ntb) }
 //
 // Packing zero-fills tile remainders so the micro-kernel never branches on
 // edges; zeros contribute nothing to the accumulation.
-//
-// Two layouts are produced:
-//   - interleaved (c32) panels for the scalar backend, unchanged from the
-//     seed kernel;
-//   - split-complex (SoA) float panels for the SIMD backend, where each
-//     k-slice stores all reals then all imaginaries so the micro-kernel's
-//     inner loop is pure vertical FMA with no shuffles:
-//       Apack[k] = { re[0..Mtb), im[0..Mtb) }   (2*Mtb floats per k)
-//       Bpack[k] = { re[0..Ntb), im[0..Ntb) }   (2*Ntb floats per k)
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 
-#include "tensor/complex.hpp"
-#include "tensor/simd.hpp"
+#include "gemm/micro_kernel.hpp"
 
 namespace turbofno::gemm {
 
-/// Apack[k][i] = A[i0+i, k0+k]; rows beyond `mi` / depth beyond `kc` zeroed.
-template <std::size_t Mtb, std::size_t Ktb>
-inline void pack_a_tile(c32* Apack, const c32* A, std::size_t lda, std::size_t i0,
+/// A panel: Apack[k][p][i] = plane p of A[i0+i, k0+k].  Rows beyond `mi` /
+/// depth beyond `kc` zeroed.  A is walked down a column (stride lda), so
+/// this is a scalar gather regardless of backend.
+template <class P, std::size_t Mtb, std::size_t Ktb, class T>
+inline void pack_a_tile(float* Apack, const T* A, std::size_t lda, std::size_t i0,
                         std::size_t k0, std::size_t mi, std::size_t kc) {
   for (std::size_t k = 0; k < Ktb; ++k) {
-    c32* dst = Apack + k * Mtb;
+    float* dst = Apack + k * P::count * Mtb;
     if (k < kc) {
-      const c32* src = A + i0 * lda + (k0 + k);
-      std::size_t i = 0;
-      for (; i < mi; ++i) dst[i] = src[i * lda];
-      for (; i < Mtb; ++i) dst[i] = c32{};
+      const T* src = A + i0 * lda + (k0 + k);
+      for (std::size_t i = 0; i < mi; ++i) P::put(dst + i, Mtb, src[i * lda]);
+      for (std::size_t p = 0; p < P::count; ++p) {
+        std::fill(dst + p * Mtb + mi, dst + (p + 1) * Mtb, 0.0f);
+      }
     } else {
-      std::memset(dst, 0, Mtb * sizeof(c32));
+      std::memset(dst, 0, P::count * Mtb * sizeof(float));
     }
   }
 }
 
-/// Bpack[k][j] = B[k0+k, j0+j]; columns beyond `nj` / depth beyond `kc` zeroed.
-template <std::size_t Ntb, std::size_t Ktb>
-inline void pack_b_tile(c32* Bpack, const c32* B, std::size_t ldb, std::size_t k0,
+/// B panel: Bpack[k][p][j] = plane p of B[k0+k, j0+j]; columns beyond `nj`
+/// / depth beyond `kc` zeroed.  B rows are contiguous, so the split runs at
+/// vector width.
+template <class P, std::size_t Ntb, std::size_t Ktb, class T>
+inline void pack_b_tile(float* Bpack, const T* B, std::size_t ldb, std::size_t k0,
                         std::size_t j0, std::size_t kc, std::size_t nj) {
   for (std::size_t k = 0; k < Ktb; ++k) {
-    c32* dst = Bpack + k * Ntb;
+    float* dst = Bpack + k * P::count * Ntb;
     if (k < kc) {
-      const c32* src = B + (k0 + k) * ldb + j0;
-      std::memcpy(dst, src, nj * sizeof(c32));
-      for (std::size_t j = nj; j < Ntb; ++j) dst[j] = c32{};
-    } else {
-      std::memset(dst, 0, Ntb * sizeof(c32));
-    }
-  }
-}
-
-/// Split-complex A panel: Apack[k][{re,im}][i] = A[i0+i, k0+k].
-/// Rows beyond `mi` / depth beyond `kc` zeroed.  A is walked down a column
-/// (stride lda), so this is a scalar gather regardless of backend.
-template <std::size_t Mtb, std::size_t Ktb>
-inline void pack_a_tile_split(float* Apack, const c32* A, std::size_t lda, std::size_t i0,
-                              std::size_t k0, std::size_t mi, std::size_t kc) {
-  for (std::size_t k = 0; k < Ktb; ++k) {
-    float* re = Apack + k * 2 * Mtb;
-    float* im = re + Mtb;
-    if (k < kc) {
-      const c32* src = A + i0 * lda + (k0 + k);
-      std::size_t i = 0;
-      for (; i < mi; ++i) {
-        const c32 v = src[i * lda];
-        re[i] = v.re;
-        im[i] = v.im;
-      }
-      for (; i < Mtb; ++i) {
-        re[i] = 0.0f;
-        im[i] = 0.0f;
+      P::put_run(dst, Ntb, B + (k0 + k) * ldb + j0, nj);
+      for (std::size_t p = 0; p < P::count; ++p) {
+        std::fill(dst + p * Ntb + nj, dst + (p + 1) * Ntb, 0.0f);
       }
     } else {
-      std::memset(re, 0, 2 * Mtb * sizeof(float));
-    }
-  }
-}
-
-/// Split-complex B panel: Bpack[k][{re,im}][j] = B[k0+k, j0+j].  B rows are
-/// contiguous, so the deinterleave runs at vector width.
-template <std::size_t Ntb, std::size_t Ktb, class B = simd::Active>
-inline void pack_b_tile_split(float* Bpack, const c32* Bsrc, std::size_t ldb, std::size_t k0,
-                              std::size_t j0, std::size_t kc, std::size_t nj) {
-  for (std::size_t k = 0; k < Ktb; ++k) {
-    float* re = Bpack + k * 2 * Ntb;
-    float* im = re + Ntb;
-    if (k < kc) {
-      const c32* src = Bsrc + (k0 + k) * ldb + j0;
-      simd::split_planes<B>(src, re, im, nj);
-      for (std::size_t j = nj; j < Ntb; ++j) {
-        re[j] = 0.0f;
-        im[j] = 0.0f;
-      }
-    } else {
-      std::memset(re, 0, 2 * Ntb * sizeof(float));
+      std::memset(dst, 0, P::count * Ntb * sizeof(float));
     }
   }
 }

@@ -86,6 +86,26 @@ struct ScalarBackend {
   static cvec scale(cvec a, float s) noexcept { return {a.re * s, a.im * s}; }
   static cvec mul_neg_i(cvec a) noexcept { return {a.im, -a.re}; }
   static cvec mul_pos_i(cvec a) noexcept { return {-a.im, a.re}; }
+  /// max(x, 0) on re and im independently (NaN -> 0).
+  static cvec relu(cvec a) noexcept { return {relu(a.re), relu(a.im)}; }
+
+  // Real vectors (`lanes` floats) for the float GEMM path: the same
+  // load/store/broadcast/FMA vocabulary as cvec, on one plane.
+  using fvec = float;
+  static fvec load(const float* p) noexcept { return *p; }
+  static void store(float* p, fvec v) noexcept { *p = v; }
+  static fvec load_partial(const float* p, std::size_t count) noexcept {
+    return count != 0 ? *p : 0.0f;
+  }
+  static void store_partial(float* p, fvec v, std::size_t count) noexcept {
+    if (count != 0) *p = v;
+  }
+  static fvec broadcast(float v) noexcept { return v; }
+  static fvec add(fvec a, fvec b) noexcept { return a + b; }
+  static fvec mul(fvec a, fvec b) noexcept { return a * b; }
+  /// acc + a * b (one rounding where the target has FMA).
+  static fvec fmadd(fvec acc, fvec a, fvec b) noexcept { return acc + a * b; }
+  static fvec relu(fvec x) noexcept { return x > 0.0f ? x : 0.0f; }
 
   // Packed (interleaved) complex vectors: `planes` complexes kept in AoS
   // order.  Add/sub/load/store are shuffle-free, which makes this the right
@@ -198,6 +218,25 @@ struct Avx2Backend {
   static cvec mul_pos_i(cvec a) noexcept {
     return {_mm256_sub_ps(_mm256_setzero_ps(), a.im), a.re};
   }
+  /// max(x, 0) on re and im independently; maxps returns its second
+  /// operand unless x > 0, so NaN -> 0 as in the scalar backend.
+  static cvec relu(cvec a) noexcept { return {relu(a.re), relu(a.im)}; }
+
+  // Real vectors: 8 floats per __m256 (the float GEMM path).
+  using fvec = __m256;
+  static fvec load(const float* p) noexcept { return _mm256_loadu_ps(p); }
+  static void store(float* p, fvec v) noexcept { _mm256_storeu_ps(p, v); }
+  static fvec load_partial(const float* p, std::size_t count) noexcept {
+    return _mm256_maskload_ps(p, float_mask(count));
+  }
+  static void store_partial(float* p, fvec v, std::size_t count) noexcept {
+    _mm256_maskstore_ps(p, float_mask(count), v);
+  }
+  static fvec broadcast(float v) noexcept { return _mm256_set1_ps(v); }
+  static fvec add(fvec a, fvec b) noexcept { return _mm256_add_ps(a, b); }
+  static fvec mul(fvec a, fvec b) noexcept { return _mm256_mul_ps(a, b); }
+  static fvec fmadd(fvec acc, fvec a, fvec b) noexcept { return _mm256_fmadd_ps(a, b, acc); }
+  static fvec relu(fvec x) noexcept { return _mm256_max_ps(x, _mm256_setzero_ps()); }
 
   // Packed (interleaved) complex vectors: 4 complexes per __m256 in AoS
   // order.  Loads/stores/add/sub are shuffle-free; the complex multiply is

@@ -6,12 +6,15 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/fno.hpp"
 #include "core/workload.hpp"
+#include "runtime/parallel.hpp"
 #include "test_util.hpp"
 
 namespace turbofno::core {
@@ -21,6 +24,7 @@ using turbofno::testing::max_err;
 using turbofno::testing::random_reals;
 using turbofno::testing::random_signal;
 using turbofno::testing::rel_err;
+using turbofno::testing::rel_err_f;
 
 Fno1dConfig small_1d_cfg(Backend backend) {
   Fno1dConfig cfg;
@@ -148,37 +152,168 @@ TEST(Fno2dModel, BackendsAgreeEndToEnd) {
   EXPECT_LT(rel_err(outs[1], outs[0]), 5e-4);
 }
 
-TEST(PointwiseLinearTest, MatchesNaiveMixing) {
-  const std::size_t in = 3;
-  const std::size_t out = 4;
-  const std::size_t batch = 2;
-  const std::size_t spatial = 10;
-  PointwiseLinear lin(in, out, 21u);
-  const auto u = random_signal(batch * in * spatial, 919u);
-  const auto ur = random_reals(batch * in * spatial, 921u);
+// Both lanes of v[b,o,s] = sum_k W[o,k] u[b,k,s] against naive mixing in
+// double; the real lane mixes with the real parts of the same weights.
+void expect_naive_mixing(const PointwiseLinear& lin, std::size_t batch, std::size_t spatial,
+                         unsigned seed) {
+  const std::size_t in = lin.in_channels();
+  const std::size_t out = lin.out_channels();
+  const auto u = random_signal(batch * in * spatial, seed);
+  const auto ur = random_reals(batch * in * spatial, seed + 2);
   std::vector<c32> v(batch * out * spatial, c32{});
   std::vector<float> vr(batch * out * spatial, 0.0f);
   lin.forward(u, v, batch, spatial);
-  // The real lane mixes with the real parts of the same weights.
   lin.forward_real(ur, vr, batch, spatial);
 
-  const auto w = std::as_const(lin).weights();
+  const auto w = lin.weights();
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t o = 0; o < out; ++o) {
       for (std::size_t s = 0; s < spatial; ++s) {
-        c32 acc{};
+        std::complex<double> acc{};
         double acc_r = 0.0;
         for (std::size_t k = 0; k < in; ++k) {
-          cmadd(acc, w[o * in + k], u[(b * in + k) * spatial + s]);
-          acc_r += static_cast<double>(w[o * in + k].re) * ur[(b * in + k) * spatial + s];
+          const c32 wk = w[o * in + k];
+          const c32 x = u[(b * in + k) * spatial + s];
+          acc += std::complex<double>(wk.re, wk.im) * std::complex<double>(x.re, x.im);
+          acc_r += static_cast<double>(wk.re) * ur[(b * in + k) * spatial + s];
         }
         const std::size_t i = (b * out + o) * spatial + s;
-        EXPECT_NEAR(v[i].re, acc.re, 1e-4);
-        EXPECT_NEAR(v[i].im, acc.im, 1e-4);
-        EXPECT_NEAR(vr[i], acc_r, 1e-4);
+        ASSERT_NEAR(v[i].re, acc.real(), 1e-4) << "b=" << b << " o=" << o << " s=" << s;
+        ASSERT_NEAR(v[i].im, acc.imag(), 1e-4) << "b=" << b << " o=" << o << " s=" << s;
+        ASSERT_NEAR(vr[i], acc_r, 1e-4) << "b=" << b << " o=" << o << " s=" << s;
       }
     }
   }
+}
+
+struct PointwiseCase {
+  std::size_t in, out, batch, spatial;
+};
+
+class PointwiseLinearTest : public ::testing::TestWithParam<PointwiseCase> {};
+
+TEST_P(PointwiseLinearTest, MatchesNaiveMixing) {
+  const auto [in, out, batch, spatial] = GetParam();
+  const PointwiseLinear lin(in, out, 21u);
+  expect_naive_mixing(lin, batch, spatial, 919u);
+}
+
+// Small mix; lift (in = 1) and projection (out = 1) at an odd width; a row
+// wider than a GEMM tile; and more channels than one tile holds (two tile
+// rows, several k blocks).
+INSTANTIATE_TEST_SUITE_P(Shapes, PointwiseLinearTest,
+                         ::testing::Values(PointwiseCase{3, 4, 2, 10}, PointwiseCase{1, 16, 2, 17},
+                                           PointwiseCase{16, 1, 3, 17},
+                                           PointwiseCase{5, 7, 2, 130},
+                                           PointwiseCase{70, 66, 2, 75}));
+
+TEST(PointwiseLinearWeights, WritesReachTheNextRealForward) {
+  // forward_real mixes with Re W taken from the weights on each call: a
+  // write through weights() must show in the next forward, on both lanes.
+  PointwiseLinear lin(6, 5, 23u);
+  const std::size_t batch = 2;
+  const std::size_t spatial = 33;
+  const auto ur = random_reals(batch * 6 * spatial, 925u);
+  std::vector<float> before(batch * 5 * spatial);
+  lin.forward_real(ur, before, batch, spatial);
+  for (std::size_t i = 0; i < lin.weights().size(); ++i) {
+    lin.weights()[i] = {0.5f - lin.weights()[i].re, lin.weights()[i].im};
+  }
+  std::vector<float> after(before.size());
+  lin.forward_real(ur, after, batch, spatial);
+  EXPECT_GT(rel_err_f(after, before), 0.1);
+  expect_naive_mixing(lin, batch, spatial, 927u);
+}
+
+// --------------------------------------------------- batch and thread invariance
+
+Fno2dConfig small_2d_cfg() {
+  Fno2dConfig cfg;
+  cfg.in_channels = 2;
+  cfg.hidden = 8;
+  cfg.out_channels = 1;
+  cfg.nx = 16;
+  cfg.ny = 16;
+  cfg.modes_x = 4;
+  cfg.modes_y = 4;
+  cfg.layers = 2;
+  cfg.backend = Backend::Auto;
+  return cfg;
+}
+
+// A forward of `batch` items on the lane of the input's sample type; the
+// output comes back as floats (a c32 is its re, im pair) so that both lanes
+// compare bytewise.
+template <class Model>
+std::vector<float> forward_floats(Model& model, std::span<const float> u, std::size_t batch) {
+  std::vector<float> v(u.size() / model.config().in_channels * model.config().out_channels);
+  model.forward_real(u, v, batch);
+  return v;
+}
+
+template <class Model>
+std::vector<float> forward_floats(Model& model, std::span<const c32> u, std::size_t batch) {
+  std::vector<c32> v(u.size() / model.config().in_channels * model.config().out_channels);
+  model.forward(u, v, batch);
+  std::vector<float> f(2 * v.size());
+  std::memcpy(f.data(), v.data(), f.size() * sizeof(float));
+  return f;
+}
+
+// Item b of a batch-3 forward is bitwise a batch-1 forward of that item.
+template <class Model, class Config, class Sample>
+void expect_batch_item_matches_batch_of_one(const Config& cfg, const std::vector<Sample>& u) {
+  const std::size_t batch = 3;
+  const std::size_t item = u.size() / batch;
+  Model model(cfg);
+  const auto whole = forward_floats(model, std::span<const Sample>(u), batch);
+  const std::size_t out = whole.size() / batch;
+  for (std::size_t b = 0; b < batch; ++b) {
+    Model single(cfg);
+    const auto got = forward_floats(single, std::span<const Sample>(u).subspan(b * item, item), 1);
+    ASSERT_EQ(got.size(), out);
+    EXPECT_EQ(std::memcmp(got.data(), whole.data() + b * out, out * sizeof(float)), 0)
+        << (std::is_same_v<Sample, float> ? "real" : "complex") << " item " << b;
+  }
+}
+
+TEST(FnoModelInvariance, BatchItemMatchesBatchOfOne) {
+  const auto c1 = small_1d_cfg(Backend::Auto);
+  const auto c2 = small_2d_cfg();
+  const std::size_t in1 = 3 * c1.in_channels * c1.n;
+  const std::size_t in2 = 3 * c2.in_channels * c2.nx * c2.ny;
+  expect_batch_item_matches_batch_of_one<Fno1d>(c1, random_signal(in1, 1301u));
+  expect_batch_item_matches_batch_of_one<Fno1d>(c1, random_reals(in1, 1303u));
+  expect_batch_item_matches_batch_of_one<Fno2d>(c2, random_signal(in2, 1305u));
+  expect_batch_item_matches_batch_of_one<Fno2d>(c2, random_reals(in2, 1307u));
+}
+
+// Forwards at 1 and at 3 runtime threads are bitwise equal.
+template <class Model, class Config, class Sample>
+void expect_thread_count_invariant(const Config& cfg, const std::vector<Sample>& u,
+                                   std::size_t batch) {
+  std::vector<float> out[2];
+  for (const int threads : {1, 3}) {
+    runtime::set_thread_count(threads);
+    Model model(cfg);
+    out[threads == 3] = forward_floats(model, std::span<const Sample>(u), batch);
+  }
+  runtime::set_thread_count(0);
+  ASSERT_EQ(out[0].size(), out[1].size());
+  EXPECT_EQ(std::memcmp(out[0].data(), out[1].data(), out[0].size() * sizeof(float)), 0)
+      << (std::is_same_v<Sample, float> ? "real" : "complex");
+}
+
+TEST(FnoModelInvariance, ThreadCountDoesNotChangeResults) {
+  const std::size_t batch = 4;
+  const auto c1 = small_1d_cfg(Backend::Auto);
+  const auto c2 = small_2d_cfg();
+  const std::size_t in1 = batch * c1.in_channels * c1.n;
+  const std::size_t in2 = batch * c2.in_channels * c2.nx * c2.ny;
+  expect_thread_count_invariant<Fno1d>(c1, random_signal(in1, 1401u), batch);
+  expect_thread_count_invariant<Fno1d>(c1, random_reals(in1, 1403u), batch);
+  expect_thread_count_invariant<Fno2d>(c2, random_signal(in2, 1405u), batch);
+  expect_thread_count_invariant<Fno2d>(c2, random_reals(in2, 1407u), batch);
 }
 
 // ------------------------------------------------------------ model oracle

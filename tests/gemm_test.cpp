@@ -1,9 +1,15 @@
-// Blocked CGEMM vs the naive reference over a shape grid, alpha/beta cases,
-// and every instantiated tile configuration.
+// Blocked GEMM vs the naive reference over a shape grid, alpha/beta cases,
+// and every instantiated tile configuration; the float path against a
+// double reference; the activation epilogue on both paths and backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
+#include "gemm/batched.hpp"
 #include "gemm/cgemm.hpp"
 #include "gemm/reference.hpp"
 #include "test_util.hpp"
@@ -12,6 +18,7 @@ namespace turbofno::gemm {
 namespace {
 
 using turbofno::testing::max_err;
+using turbofno::testing::random_reals;
 using turbofno::testing::random_signal;
 
 struct GemmCase {
@@ -48,6 +55,56 @@ TEST_P(CgemmShapes, ComplexAlphaBetaAccumulate) {
   EXPECT_LT(max_err(C, Cref), gemm_tol(K));
 }
 
+// ---------------------------------------------------------- float path
+
+// C = alpha * A B + beta * C0 in double (row-major, tight leading dims).
+std::vector<double> sgemm_double(std::size_t M, std::size_t N, std::size_t K, double alpha,
+                                 const std::vector<float>& A, const std::vector<float>& B,
+                                 double beta, const std::vector<float>& C0) {
+  std::vector<double> C(M * N);
+  for (std::size_t i = 0; i < M; ++i) {
+    for (std::size_t j = 0; j < N; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < K; ++k) acc += static_cast<double>(A[i * K + k]) * B[k * N + j];
+      C[i * N + j] = alpha * acc + beta * C0[i * N + j];
+    }
+  }
+  return C;
+}
+
+double max_err_d(const std::vector<float>& got, const std::vector<double>& want) {
+  double e = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    e = std::max(e, std::abs(static_cast<double>(got[i]) - want[i]));
+  }
+  return e;
+}
+
+TEST_P(CgemmShapes, FloatPathMatchesDoubleReference) {
+  const auto [M, N, K] = GetParam();
+  const auto A = random_reals(M * K, 401u + static_cast<unsigned>(M));
+  const auto B = random_reals(K * N, 409u + static_cast<unsigned>(N));
+  const std::vector<float> C0(M * N, 0.0f);
+  std::vector<float> C(C0);
+  sgemm_batched(M, N, K, 1.0f, A.data(), K, B.data(), N, 0.0f, C.data(), N, 1, {});
+  EXPECT_LT(max_err_d(C, sgemm_double(M, N, K, 1.0, A, B, 0.0, C0)), gemm_tol(K))
+      << "M=" << M << " N=" << N << " K=" << K;
+}
+
+TEST_P(CgemmShapes, FloatPathAlphaBetaAccumulate) {
+  const auto [M, N, K] = GetParam();
+  const auto A = random_reals(M * K, 419u);
+  const auto B = random_reals(K * N, 421u);
+  const auto C0 = random_reals(M * N, 431u);
+  // beta = 1 is the residual add; the general pair exercises the FMA form.
+  for (const auto [alpha, beta] : {std::pair{1.0f, 1.0f}, std::pair{-1.25f, 0.75f}}) {
+    std::vector<float> C(C0);
+    sgemm_batched(M, N, K, alpha, A.data(), K, B.data(), N, beta, C.data(), N, 1, {});
+    EXPECT_LT(max_err_d(C, sgemm_double(M, N, K, alpha, A, B, beta, C0)), gemm_tol(K))
+        << "alpha=" << alpha << " beta=" << beta;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, CgemmShapes,
     ::testing::Values(GemmCase{1, 1, 1}, GemmCase{4, 4, 4}, GemmCase{7, 5, 3},
@@ -55,7 +112,99 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmCase{64, 64, 8}, GemmCase{64, 64, 64}, GemmCase{65, 63, 9},
                       GemmCase{128, 32, 8}, GemmCase{33, 128, 130}, GemmCase{256, 16, 16},
                       GemmCase{512, 64, 128},  // tall-and-skinny (the FNO shape)
-                      GemmCase{1000, 48, 72}, GemmCase{100, 1, 100}, GemmCase{1, 100, 100}));
+                      GemmCase{1000, 48, 72}, GemmCase{100, 1, 100}, GemmCase{1, 100, 100},
+                      GemmCase{37, 129, 1}));
+
+// Each explicit backend instantiation of the float path against the double
+// reference: M = 1 (a projection), N = 1, K = 1 and a shape that is not a
+// multiple of any tile dimension, at beta 0, 1 and a general value.
+template <class Cfg, class B>
+void check_float_backend() {
+  const std::size_t dims[][3] = {{1, 70, 19}, {45, 1, 19}, {45, 37, 1}, {45, 37, 19},
+                                 {70, 130, 33}};
+  unsigned seed = 500;
+  for (const auto& d : dims) {
+    const std::size_t M = d[0];
+    const std::size_t N = d[1];
+    const std::size_t K = d[2];
+    const auto A = random_reals(M * K, ++seed);
+    const auto Bm = random_reals(K * N, ++seed);
+    const auto C0 = random_reals(M * N, ++seed);
+    for (const auto [alpha, beta] :
+         {std::pair{1.0f, 0.0f}, std::pair{1.0f, 1.0f}, std::pair{0.5f, -0.75f}}) {
+      std::vector<float> C(C0);
+      sgemm_tiled_backend<Cfg, B>(M, N, K, alpha, A.data(), K, Bm.data(), N, beta, C.data(), N);
+      EXPECT_LT(max_err_d(C, sgemm_double(M, N, K, alpha, A, Bm, beta, C0)), gemm_tol(K))
+          << B::name() << " M=" << M << " N=" << N << " K=" << K << " beta=" << beta;
+    }
+  }
+}
+
+float relu(float x) { return x > 0.0f ? x : 0.0f; }
+
+// The ReLU epilogue with beta = 1 (the FNO residual layer) is bitwise the
+// same GEMM with beta = 0 followed by a separate add and clamp, on the
+// complex path (re and im clamped independently) and the float path.
+template <class Cfg, class B>
+void check_relu_epilogue() {
+  const std::size_t M = 45;
+  const std::size_t N = 37;
+  const std::size_t K = 19;
+
+  const auto A = random_signal(M * K, 601u);
+  const auto Bm = random_signal(K * N, 607u);
+  const auto C0 = random_signal(M * N, 613u);
+  std::vector<c32> fused(C0);
+  cgemm_tiled_backend<Cfg, B>(M, N, K, c32{1.0f}, A.data(), K, Bm.data(), N, c32{1.0f},
+                              fused.data(), N, Act::Relu);
+  std::vector<c32> want(M * N, c32{});
+  cgemm_tiled_backend<Cfg, B>(M, N, K, c32{1.0f}, A.data(), K, Bm.data(), N, c32{}, want.data(),
+                              N);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const c32 s = want[i] + C0[i];
+    want[i] = {relu(s.re), relu(s.im)};
+  }
+  EXPECT_EQ(std::memcmp(fused.data(), want.data(), want.size() * sizeof(c32)), 0)
+      << B::name() << " complex";
+
+  const auto Ar = random_reals(M * K, 617u);
+  const auto Br = random_reals(K * N, 619u);
+  const auto Cr = random_reals(M * N, 631u);
+  std::vector<float> fused_r(Cr);
+  sgemm_tiled_backend<Cfg, B>(M, N, K, 1.0f, Ar.data(), K, Br.data(), N, 1.0f, fused_r.data(),
+                              N, Act::Relu);
+  std::vector<float> want_r(M * N, 0.0f);
+  sgemm_tiled_backend<Cfg, B>(M, N, K, 1.0f, Ar.data(), K, Br.data(), N, 0.0f, want_r.data(),
+                              N);
+  std::size_t clamped = 0;
+  for (std::size_t i = 0; i < want_r.size(); ++i) {
+    const float s = want_r[i] + Cr[i];
+    clamped += s < 0.0f;
+    want_r[i] = relu(s);
+  }
+  EXPECT_GT(clamped, 0u) << "the case must exercise the clamp";
+  EXPECT_EQ(std::memcmp(fused_r.data(), want_r.data(), want_r.size() * sizeof(float)), 0)
+      << B::name() << " float";
+}
+
+TEST(GemmFloatPath, ScalarFusedTiles) { check_float_backend<FusedTiles, simd::ScalarBackend>(); }
+TEST(GemmFloatPath, ScalarStandaloneTiles) {
+  check_float_backend<StandaloneTiles, simd::ScalarBackend>();
+}
+TEST(GemmEpilogue, ScalarReluIsAddThenClamp) {
+  check_relu_epilogue<FusedTiles, simd::ScalarBackend>();
+  check_relu_epilogue<StandaloneTiles, simd::ScalarBackend>();
+}
+#if TURBOFNO_SIMD_HAVE_AVX2
+TEST(GemmFloatPath, Avx2FusedTiles) { check_float_backend<FusedTiles, simd::Avx2Backend>(); }
+TEST(GemmFloatPath, Avx2StandaloneTiles) {
+  check_float_backend<StandaloneTiles, simd::Avx2Backend>();
+}
+TEST(GemmEpilogue, Avx2ReluIsAddThenClamp) {
+  check_relu_epilogue<FusedTiles, simd::Avx2Backend>();
+  check_relu_epilogue<StandaloneTiles, simd::Avx2Backend>();
+}
+#endif
 
 // Every instantiated tile configuration must agree with the reference on an
 // edge-stressing shape (not a multiple of any tile dim).

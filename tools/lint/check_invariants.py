@@ -20,8 +20,8 @@ review because each one lives in two places at once:
                    src/ or tools/ (tfno_shardd reads knobs too) is a
                    violation.
   hotpath-alloc    regions bracketed by `// tfno-hot-begin` and
-                   `// tfno-hot-end` in src/fused/ and src/fft/ are
-                   arena-scoped kernel worker bodies; heap allocation
+                   `// tfno-hot-end` in src/fused/, src/fft/ and src/gemm/
+                   are arena-scoped kernel worker bodies; heap allocation
                    there (new/malloc/resize/push_back/...) would
                    serialize the parallel sweep on the allocator lock.
 
@@ -203,6 +203,7 @@ def check_raw_getenv(root: Path) -> list[str]:
 
 HOT_BEGIN = "tfno-hot-begin"
 HOT_END = "tfno-hot-end"
+HOT_DIRS = ("fused", "fft", "gemm")
 
 # Heap-allocating tokens forbidden between the markers.  Arena allocation
 # (`arena.alloc<T>(...)` / `.scope()`) is the approved mechanism and none
@@ -223,7 +224,7 @@ def check_hotpath_allocs(root: Path) -> list[str]:
     for path in source_files(root):
         rel = path.relative_to(root)
         parts = rel.parts
-        if len(parts) < 2 or parts[0] != "src" or parts[1] not in ("fused", "fft"):
+        if len(parts) < 2 or parts[0] != "src" or parts[1] not in HOT_DIRS:
             continue
         in_hot = False
         begin_line = 0
@@ -286,6 +287,7 @@ def self_test(fixtures: Path) -> int:
         "undocumented_knob": "knob-docs",
         "raw_getenv": "raw-getenv",
         "hotpath_alloc": "hotpath-alloc",
+        "hotpath_alloc_gemm": "hotpath-alloc",
     }
     failures = []
     for name, want in sorted(expected.items()):
